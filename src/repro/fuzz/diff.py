@@ -19,7 +19,9 @@ tier        what runs
 interp      ``run_functional`` — the reference commit stream
 step        detailed core, stepping scheduler, per-instruction
 event       detailed core, event-driven scheduler, per-instruction
-step-fused  stepping scheduler, fused basic blocks
+step-fused  stepping scheduler, fused basic blocks installed on their
+            first entry (``hot_threshold=1``: short programs rarely
+            heat a PC the default 8 times within one Core)
 event-fused event-driven scheduler, fused basic blocks
 ff          ``fast_forward`` warming executor, state checked at depth K
 snapshot    detailed run resumed from the depth-K snapshot
@@ -60,7 +62,10 @@ from repro.workloads.base import Workload
 DETAILED_TIERS = (
     ("step", dict(event_driven=False, fused_blocks=False)),
     ("event", dict(event_driven=True, fused_blocks=False)),
-    ("step-fused", dict(event_driven=False, fused_blocks=True)),
+    (
+        "step-fused",
+        dict(event_driven=False, fused_blocks=True, hot_threshold=1),
+    ),
     ("event-fused", dict(event_driven=True, fused_blocks=True)),
 )
 

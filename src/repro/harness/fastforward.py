@@ -921,14 +921,12 @@ def _prebuild_entry(task: _PrebuildTask, attempt: int, fault_plan) -> int:
     timed-out attempt leaves a prefix behind and the retry resumes
     from the deepest stored member rather than starting over.
     """
-    from repro.workloads import registry
+    from repro.harness.parallel import shared_workload
 
     if fault_plan is not None:
         fault_plan.perturb(task.request, attempt)
     store = SnapshotStore(task.cache_root)
-    workload = registry.build(
-        task.request.workload, scale=task.request.scale
-    )
+    workload = shared_workload(task.request.workload, task.request.scale)
     config = task.request.resolve_config()
     built = 0
     for snapshot, hit in iter_chain(
@@ -1013,8 +1011,6 @@ def prebuild_snapshots(
     a plan targeting ``(request, attempt)`` perturbs the prebuild
     attempt for that request's chain.
     """
-    from repro.workloads import registry
-
     if store is None:
         store = SnapshotStore()
     tasks = _prebuild_tasks(requests, store)
@@ -1027,6 +1023,7 @@ def prebuild_snapshots(
         _resolve_retries,
         _resolve_timeout,
         resolve_jobs,
+        shared_workload,
     )
 
     workers = min(resolve_jobs(jobs), len(tasks))
@@ -1053,9 +1050,7 @@ def prebuild_snapshots(
     # pass is the only one that helps).
     built = 0
     for task in tasks:
-        workload = registry.build(
-            task.request.workload, scale=task.request.scale
-        )
+        workload = shared_workload(task.request.workload, task.request.scale)
         config = task.request.resolve_config()
         for snapshot, hit in iter_chain(
             workload, config, task.depths, store=store

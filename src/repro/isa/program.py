@@ -84,17 +84,12 @@ class Program:
     #: :meth:`drop_block_caches` so consumers can detect invalidation.
     block_version: int = field(default=0, repr=False, compare=False)
     #: Program-wide cache of generated fused segments, shared by every
-    #: Core built over this program in-process. Keyed by
-    #: ``(entry_pc, (width, frontend_stages, cam_excluded_pcs))`` —
-    #: everything the generated code depends on besides the instruction
-    #: objects themselves (which :meth:`drop_block_caches` covers).
+    #: Core built over this program in-process, snapshot restores
+    #: included. Keyed by ``(entry_pc, (width, frontend_stages,
+    #: cam_excluded_pcs))`` — everything the generated code depends on
+    #: besides the instruction objects themselves (which
+    #: :meth:`drop_block_caches` covers).
     _segment_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Entry counts for segments not yet hot enough to compile, same
-    #: keys as :attr:`_segment_cache`. Program-wide so heat accumulates
-    #: across Cores and a moderately-warm PC still earns its segment.
-    _segment_heat: dict = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -159,7 +154,6 @@ class Program:
         """
         self._blocks = None
         self._segment_cache.clear()
-        self._segment_heat.clear()
         self.block_version += 1
 
     def _discover_blocks(self) -> dict[int, BasicBlock]:

@@ -165,7 +165,23 @@ class FrontEndPredictor:
         return copy.deepcopy((self.direction, self.indirect, self.ras))
 
     def load_warm_image(self, image: tuple) -> None:
-        """Install a :meth:`warm_image`. The image is deep-copied so
+        """Install a :meth:`warm_image`. Each component is copied so
         several cores restored from one in-memory snapshot (a shared
         sweep prefix) never alias predictor state."""
-        self.direction, self.indirect, self.ras = copy.deepcopy(image)
+        self.direction, self.indirect, self.ras = map(_detached, image)
+
+
+def _detached(component):
+    """A copy of predictor *component* that shares no mutable state.
+
+    The YAGS, cascading-indirect and RAS components of a warmed image
+    keep their state in ints and flat lists of ints, ``None`` and
+    immutable tuples, so slicing the lists copies exactly what
+    ``deepcopy`` would, at a fraction of the cost.
+    """
+    clone = object.__new__(type(component))
+    clone.__dict__.update(
+        (name, value[:] if type(value) is list else value)
+        for name, value in vars(component).items()
+    )
+    return clone

@@ -69,6 +69,7 @@ class Core:
         event_driven: bool = True,
         strict_slices: bool = False,
         fused_blocks: bool | None = None,
+        hot_threshold: int = HOT_THRESHOLD,
         snapshot=None,
         memory_normalized: bool = False,
     ):
@@ -76,12 +77,11 @@ class Core:
         #: :mod:`repro.harness.fastforward` (duck-typed so the uarch
         #: layer stays independent of the harness). The run starts at
         #: the snapshot's architectural state — PC, registers, memory —
-        #: with its warmed cache/predictor images installed below, and
-        #: the program's block caches dropped so fused segments rebuild
-        #: cleanly against the restored machine.
+        #: with its warmed cache/predictor images installed below. The
+        #: program's compiled fused segments stay valid across restores:
+        #: a segment folds in only instruction operands and reads all
+        #: machine state through ``core``/``ctx`` at call time.
         self.snapshot = snapshot
-        if snapshot is not None:
-            program.drop_block_caches()
         self.program = program
         self.config = config
         self.perfect = perfect
@@ -120,6 +120,10 @@ class Core:
         if fused_blocks is None:
             fused_blocks = fusion_default()
         self.fused_blocks = fused_blocks
+        #: Fetch-group entries at a PC before its segment is installed.
+        #: The differential fuzzer lowers it so the fused tier runs even
+        #: on programs too short to heat a PC the default 8 times.
+        self.hot_threshold = hot_threshold
 
         if snapshot is not None:
             # Snapshot images are Memory.snapshot() output: already
@@ -224,11 +228,13 @@ class Core:
 
         #: Fused-tier state: compiled segments keyed by entry PC, the
         #: set of PCs worth compiling (block leaders, later extended
-        #: with resume points of partial groups) and the program block
+        #: with resume points of partial groups), fetch-group entries
+        #: per PC not yet hot enough to install, and the program block
         #: version the compiles are valid for. The containers are
         #: mutated in place — ``_fetch`` holds local references.
         self._fused: dict[int, object] = {}
         self._fusable_pcs: set[int] = set()
+        self._segment_heat: dict[int, int] = {}
         self._fuse_version = program.block_version
         if self._slices_enabled:
             cam_pcs = frozenset(
@@ -904,29 +910,31 @@ class Core:
         if program.block_version != self._fuse_version:
             self._fused.clear()
             self._fusable_pcs.clear()
+            self._segment_heat.clear()
             self._fusable_pcs.update(program.basic_blocks().keys())
             self._fuse_version = program.block_version
             if pc not in self._fusable_pcs:
                 return None
+        # Hot-threshold: codegen costs ~2 ms a segment; a cold or
+        # wrong-path-only entry PC never earns that back. Warm up
+        # through the instruction tier first. Heat is per Core and
+        # gates cache hits too, so which segments a Core installs (and
+        # ``blocks_compiled``) depends only on its own execution, never
+        # on what ran earlier over the same Program in-process.
+        heat = self._segment_heat
+        n = heat.get(pc, 0) + 1
+        if n < self.hot_threshold:
+            heat[pc] = n
+            return None
+        heat.pop(pc, None)
         # Same-process Cores over the same Program (and the same
         # width / front-end depth / CAM exclusions) share generated
-        # segments; ``drop_block_caches`` clears this cache too. A hit
-        # installs immediately — the hot-threshold below only amortizes
-        # codegen, and a cached segment has none left to amortize.
+        # segments, so a hit saves only the codegen;
+        # ``drop_block_caches`` clears this cache.
         cache = program._segment_cache
         key = (pc, self._fuse_key)
         cached = cache.get(key)
         if cached is None:
-            # Hot-threshold: codegen costs ~0.5 ms a segment; a cold or
-            # wrong-path-only entry PC never earns that back. Warm up
-            # through the instruction tier first. Heat lives on the
-            # Program so it accumulates across Cores in-process.
-            heat = program._segment_heat
-            n = heat.get(key, 0) + 1
-            if n < HOT_THRESHOLD:
-                heat[key] = n
-                return None
-            heat.pop(key, None)
             insts = self._fusable_run_from(pc)
             if len(insts) < MIN_FUSE_LEN:
                 # Too short to out-run the instruction tier. If the

@@ -353,10 +353,10 @@ def compile_segment(
     return fn
 
 
-#: Fetch-group entries at one PC before its segment is compiled.
-#: Compilation costs ~0.5 ms per segment (mostly ``compile()``); a
-#: cold or wrong-path-only entry PC never earns that back, so the
-#: fused tier warms up through the instruction tier first.
+#: Fetch-group entries at one PC, counted per Core, before its segment
+#: is installed. Compilation costs ~2 ms per segment (mostly
+#: ``compile()``); a cold or wrong-path-only entry PC never earns that
+#: back, so the fused tier warms up through the instruction tier first.
 HOT_THRESHOLD = 8
 
 #: Shortest segment worth generating. The prologue (a dozen local

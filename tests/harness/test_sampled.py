@@ -35,7 +35,13 @@ from repro.harness.runner import run_baseline, run_with_slices
 from repro.harness.sweep import sweep_memory_latency
 from repro.uarch.config import FOUR_WIDE
 from repro.uarch.core import Core
-from repro.uarch.stats import RunStats, aggregate_stats, mean_ci95, t95
+from repro.uarch.stats import (
+    RunStats,
+    aggregate_stats,
+    mean_ci95,
+    stats_digest,
+    t95,
+)
 from repro.workloads import registry
 
 
@@ -55,10 +61,10 @@ def cache_env(tmp_path, monkeypatch):
 def test_ff_zero_bit_identical(workload_name):
     """An unsampled RunRequest reproduces the direct runner exactly —
     every stat, both modes, every workload."""
+    # One workload for both modes: segment heat is per Core, so a
+    # shared Program's warm segment cache must not move the counters.
+    workload = registry.build(workload_name, scale=0.05)
     for mode, runner in (("base", run_baseline), ("slice", run_with_slices)):
-        # Fresh workload per mode: fused segments cache per-Program, so
-        # sharing one across runs would skew the compile counters.
-        workload = registry.build(workload_name, scale=0.05)
         request = RunRequest(
             workload=workload_name, scale=0.05, mode=mode,
             fast_forward=0, sample=0,
@@ -154,14 +160,33 @@ def test_restore_then_run_matches_straight_through():
     assert resumed.memory.snapshot() == straight.memory.snapshot()
 
 
-def test_core_restore_drops_fused_segments():
-    """Restoring into a Program invalidates its fused-segment caches —
-    segments compiled against the cold image must not survive."""
-    workload = registry.build("gzip", scale=0.05)
-    before = workload.program.block_version
-    snap = fast_forward(workload, FOUR_WIDE, 500)
-    Core(workload.program, FOUR_WIDE, snapshot=snap)
-    assert workload.program.block_version > before
+@pytest.mark.parametrize("runner", [run_baseline, run_with_slices])
+def test_restore_into_warm_program_matches_fresh_program(runner):
+    """Fused segments compiled by a cold-image Core stay in the
+    Program's cache across a snapshot restore, and reusing them changes
+    nothing: the restored run equals a restore into a freshly built
+    Program in every field, meta included, and the per-instruction
+    tier in every architectural one."""
+    warm = registry.build("gzip", scale=0.05)
+    runner(warm, FOUR_WIDE)
+    compiled_cold = set(warm.program._segment_cache)
+    assert compiled_cold
+
+    snap = fast_forward(warm, FOUR_WIDE, 500)
+    sampled = dict(snapshot=snap, warmup=200, region=1_000)
+    reused = runner(warm, FOUR_WIDE, **sampled)
+    fresh = registry.build("gzip", scale=0.05)
+    restored = runner(fresh, FOUR_WIDE, **sampled)
+    assert dataclasses.asdict(reused) == dataclasses.asdict(restored)
+    assert reused.blocks_compiled > 0
+    # The restored run installed segments the cold run had compiled.
+    assert compiled_cold & set(fresh.program._segment_cache)
+
+    unfused = runner(
+        registry.build("gzip", scale=0.05), FOUR_WIDE,
+        fused_blocks=False, **sampled,
+    )
+    assert stats_digest(reused) == stats_digest(unfused)
 
 
 def test_region_smaller_than_warmup_still_warms():

@@ -239,3 +239,60 @@ def test_tournament_rejects_bad_geometry():
 
     with pytest.raises(ValueError):
         TournamentPredictor(chooser_entries=1000)
+
+
+def _warmed_snapshot():
+    from repro.harness.fastforward import fast_forward
+    from repro.uarch.config import FOUR_WIDE
+    from repro.workloads import registry
+
+    return fast_forward(registry.build("mcf", scale=0.2), FOUR_WIDE, 3_000)
+
+
+def test_load_warm_image_matches_deepcopy():
+    """Restoring by list slicing is exactly the deep copy it replaced:
+    the restored predictor pickles to the same bytes, and none of its
+    tables is the image's own list."""
+    import copy
+    import pickle
+
+    image = _warmed_snapshot().predictor_image
+    image_bytes = pickle.dumps(image)
+    restored = FrontEndPredictor()
+    restored.load_warm_image(image)
+    reference = FrontEndPredictor()
+    reference.direction, reference.indirect, reference.ras = copy.deepcopy(
+        image
+    )
+    assert pickle.dumps(restored) == pickle.dumps(reference)
+    for mine, source in zip(
+        (restored.direction, restored.indirect, restored.ras), image
+    ):
+        assert mine is not source
+        for name, value in vars(source).items():
+            if isinstance(value, list):
+                assert getattr(mine, name) is not value, name
+    assert pickle.dumps(image) == image_bytes
+
+
+def test_cores_restored_from_one_snapshot_share_no_predictor_state():
+    """Training one restored Core's predictor leaves a sibling restored
+    from the same in-memory snapshot, and the snapshot, unchanged."""
+    import pickle
+
+    from repro.uarch.config import FOUR_WIDE
+    from repro.uarch.core import Core
+    from repro.workloads import registry
+
+    snap = _warmed_snapshot()
+    program = registry.build("mcf", scale=0.2).program
+    image_bytes = pickle.dumps(snap.predictor_image)
+    trained = Core(program, FOUR_WIDE, snapshot=snap, region=2_000)
+    sibling = Core(program, FOUR_WIDE, snapshot=snap, region=2_000)
+    sibling_bytes = pickle.dumps(sibling.predictor)
+    assert pickle.dumps(trained.predictor) == sibling_bytes
+
+    trained.run()
+    assert pickle.dumps(trained.predictor) != sibling_bytes
+    assert pickle.dumps(sibling.predictor) == sibling_bytes
+    assert pickle.dumps(snap.predictor_image) == image_bytes

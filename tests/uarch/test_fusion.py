@@ -204,10 +204,11 @@ def test_block_version_bump_rebuilds_core_state():
     assert core._fused
     version_before = core._fuse_version
     prog.drop_block_caches()
-    assert not prog._segment_cache and not prog._segment_heat
+    assert not prog._segment_cache
     core._compile_fused(prog.entry_pc)
     assert core._fuse_version == prog.block_version > version_before
     assert not core._fused  # stale segments gone; entry not hot yet
+    assert core._segment_heat == {prog.entry_pc: 1}  # heat restarted
 
 
 def test_clone_via_copy_preserves_fusability():
