@@ -5,8 +5,9 @@ A small asyncio HTTP/1.1 server (stdlib only) over one
 :class:`~repro.service.queue.JobQueue`. The serving contract is the
 ROADMAP's: **hot results are served, not recomputed** — a sweep query
 whose results are all cached is answered entirely from the store with
-one O(1) content-addressed read per request and *zero* queue writes;
-only misses are enqueued, for ``repro worker`` processes to drain.
+one O(1) content-addressed read per request, and its only queue write
+is the ``save_sweep`` row that registers it for polling; only misses
+are enqueued, for ``repro worker`` processes to drain.
 
 Endpoints (all JSON):
 

@@ -58,9 +58,7 @@ def service(tmp_path):
 
 def drain_in_background(server: ExperimentServer, max_jobs: int) -> Worker:
     """A worker thread that blocks until it resolves *max_jobs* jobs."""
-    worker = Worker(
-        store=server.store, queue=server.queue, lease=10.0, poll=0.05
-    )
+    worker = Worker(store=server.store, queue=server.queue, lease=10.0)
     thread = threading.Thread(
         target=worker.run, kwargs={"max_jobs": max_jobs}, daemon=True
     )
@@ -99,9 +97,7 @@ def test_repeat_sweep_is_served_without_enqueueing(service):
     client = ServiceClient(f"http://127.0.0.1:{service.port}")
     first = client.submit_sweep(MATRIX)
     assert first["enqueued"] == len(MATRIX)
-    worker = Worker(
-        store=service.store, queue=service.queue, lease=10.0, poll=0.05
-    )
+    worker = Worker(store=service.store, queue=service.queue, lease=10.0)
     assert worker.run(drain=True) == len(MATRIX)
 
     submitted_before = service.queue.counters().get("submitted", 0)

@@ -25,7 +25,6 @@ def _run_crashing_worker(root: str) -> None:
     worker = Worker(
         store=ContentStore(root),
         lease=1.0,
-        poll=0.05,
         fault_plan=plan,
     )
     worker.run(max_jobs=1)
@@ -55,7 +54,7 @@ def test_killed_worker_job_is_releashed_and_completes_once(tmp_path):
     # Once the lease expires, a live worker re-claims and finishes it.
     time.sleep(max(0.0, job.lease_deadline - time.time()) + 0.05)
     store = ContentStore(root)
-    survivor = Worker(store=store, queue=queue, lease=10.0, poll=0.05)
+    survivor = Worker(store=store, queue=queue, lease=10.0)
     assert survivor.run(drain=True) == 1
     assert survivor.completed == 1
 
@@ -66,7 +65,7 @@ def test_killed_worker_job_is_releashed_and_completes_once(tmp_path):
     assert queue.counters()["completed"] == 1
 
     # Exactly once: nothing left for anyone else.
-    idle = Worker(store=store, queue=queue, poll=0.05)
+    idle = Worker(store=store, queue=queue)
     assert idle.run(drain=True) == 0
 
     # And the recovered result is bit-identical to an undisturbed run.
