@@ -32,7 +32,7 @@ Two measurements of :mod:`repro.harness.fastforward`:
   ``BENCH_throughput.json`` with a CI floor.
 * **window-parallel speedup** — the PR 10 acceptance bar: a 10-window
   mcf run over a prebuilt chain must be >= 2x faster wall-clock at 8
-  pool workers than the serial ``--window-jobs 1`` oracle, with a
+  pool workers than the serial ``--jobs 1`` oracle, with a
   bit-identical aggregate RunStats digest (asserted unconditionally;
   the speedup floor is asserted where the host can physically deliver
   it, i.e. >= 4 CPUs — CI runners qualify, a 1-vCPU sandbox records
@@ -55,10 +55,9 @@ from repro.harness.fastforward import (
     iter_chain,
     sample_plan,
 )
+from repro.harness.parallel import _apply_override, assemble_windows
 from repro.harness.runner import run_baseline
-from repro.harness.sweep import _apply
 from repro.uarch.config import FOUR_WIDE
-from repro.uarch.stats import aggregate_stats
 from repro.workloads import registry
 
 #: Floor for the sampled regime (covered simulated instructions / wall
@@ -146,7 +145,8 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     region, warmup = sample_plan(sample)
     latencies = (50, 100, 200, 400)
     configs = [
-        _apply(FOUR_WIDE, "memory_latency", value) for value in latencies
+        _apply_override(FOUR_WIDE, "memory_latency", value)
+        for value in latencies
     ]
 
     # Sampled side: the snapshot build is timed (it is real work the
@@ -286,24 +286,22 @@ def bench_sampled_multi_differential(publish, tmp_path, monkeypatch):
     # (the one-shot cost model, same as the sampled_multi regime —
     # persisting ten multi-megaword snapshots is the amortized case a
     # sweep pays once, benched separately above).
-    store = SnapshotStore(enabled=False)
-    sampled_start = time.perf_counter()
-    per_region = []
-    for snapshot, _hit in iter_chain(
-        workload, FOUR_WIDE, plan.depths, store=store
-    ):
-        if (
-            snapshot is not None
-            and snapshot.executed < snapshot.ff_insts
-            and per_region
-        ):
-            break  # planned past the halt
+    chain = iter_chain(
+        workload, FOUR_WIDE, plan.depths, store=SnapshotStore(enabled=False)
+    )
+
+    def measure(depth):
+        snapshot, _hit = next(chain)
         stats = run_baseline(
             workload, FOUR_WIDE,
             snapshot=snapshot, warmup=plan.warmup, region=plan.sample,
         )
-        per_region.append(stats)
-    sampled = aggregate_stats(per_region)
+        if snapshot is not None:
+            stats.ff_insts = snapshot.executed
+        return stats
+
+    sampled_start = time.perf_counter()
+    sampled = assemble_windows(plan.depths, measure)
     sampled_s = time.perf_counter() - sampled_start
 
     from repro.uarch.core import Core
@@ -403,7 +401,7 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
 def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
     """The PR 10 acceptance differential: a 10-window mcf run over a
     prebuilt snapshot chain, window-parallel at 8 workers vs the
-    serial ``--window-jobs 1`` oracle.
+    serial ``--jobs 1`` oracle.
 
     Both sides run through ``run_matrix`` with the run cache disabled
     (fresh detailed measurement either way; only the scheduling
@@ -436,15 +434,11 @@ def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
     prebuild_snapshots([request], jobs=8)
 
     serial_start = time.perf_counter()
-    serial = run_matrix(
-        [request], jobs=1, cache=RunCache(enabled=False), window_jobs=1
-    )[0]
+    serial = run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
     serial_s = time.perf_counter() - serial_start
 
     parallel_start = time.perf_counter()
-    parallel = run_matrix(
-        [request], jobs=8, cache=RunCache(enabled=False), window_jobs=8
-    )[0]
+    parallel = run_matrix([request], jobs=8, cache=RunCache(enabled=False))[0]
     parallel_s = time.perf_counter() - parallel_start
 
     speedup = serial_s / parallel_s
@@ -454,7 +448,7 @@ def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
         "window_parallel_speedup",
         f"Window-parallel speedup (mcf, scale 8.0, {regions} x "
         f"{sample:,}-inst windows, period {period:,}, prebuilt chain)\n\n"
-        f"serial (--window-jobs 1): {serial_s:.2f}s\n"
+        f"serial (--jobs 1): {serial_s:.2f}s\n"
         f"window-parallel (8 workers): {parallel_s:.2f}s\n"
         f"speedup {speedup:.2f}x on {cpus} CPU(s) "
         f"(floor {WINDOW_SPEEDUP_FLOOR}x "

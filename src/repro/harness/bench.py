@@ -281,7 +281,7 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
         build_sample_plan,
         iter_chain,
     )
-    from repro.uarch.stats import aggregate_stats
+    from repro.harness.parallel import assemble_windows
 
     plan = build_sample_plan(
         workload.region,
@@ -290,19 +290,14 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
         regime.sample_regions,
         regime.sample_period,
     )
-    store = SnapshotStore(enabled=False)
-    per_region: list[RunStats] = []
-    span = 0
-    start = time.perf_counter()
-    for snapshot, _hit in iter_chain(
-        workload, regime.config, plan.depths, store=store
-    ):
-        if (
-            snapshot is not None
-            and snapshot.executed < snapshot.ff_insts
-            and per_region
-        ):
-            break  # program halted before this window's start
+    chain = iter_chain(
+        workload, regime.config, plan.depths,
+        store=SnapshotStore(enabled=False),
+    )
+    spans: list[int] = []
+
+    def measure(depth: int) -> RunStats:
+        snapshot, _hit = next(chain)
         kwargs = dict(
             memory_image=workload.memory_image,
             memory_normalized=True,
@@ -316,11 +311,14 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
         stats = Core(workload.program, regime.config, **kwargs).run()
         if snapshot is not None:
             stats.ff_insts = snapshot.executed
-            span = snapshot.executed
-        per_region.append(stats)
+        spans.append(stats.ff_insts)
+        return stats
+
+    start = time.perf_counter()
+    total = assemble_windows(plan.depths, measure)
     elapsed = time.perf_counter() - start
-    total = aggregate_stats(per_region)
-    total.ff_insts = span
+    # The chain span is the deepest *kept* window's prefix.
+    total.ff_insts = spans[total.sample_regions - 1]
     return total, elapsed
 
 
@@ -360,10 +358,7 @@ def _run_window_parallel(regime: BenchRegime) -> tuple[RunStats, float]:
     prebuild_snapshots([request], jobs=regime.window_jobs)
     start = time.perf_counter()
     stats_list = run_matrix(
-        [request],
-        jobs=regime.window_jobs,
-        cache=RunCache(enabled=False),
-        window_jobs=regime.window_jobs,
+        [request], jobs=regime.window_jobs, cache=RunCache(enabled=False)
     )
     elapsed = time.perf_counter() - start
     return stats_list[0], elapsed

@@ -14,7 +14,6 @@ Usage::
     python -m repro figure11 --fast-forward 20000 --sample 4000  # sampled
     python -m repro table4 --sample 10000 --sample-regions 10  # multi-region
     python -m repro figure11 --sampled  # long-horizon halt-aware plans
-    python -m repro table4 --sample-regions 10 --window-jobs 8  # window-parallel
     python -m repro fuzz --seeds 50     # differential workload fuzzer
     python -m repro fuzz --seeds 200 --shrink --jobs 4  # store minimal repros
     python -m repro fuzz ls             # list stored minimal repros
@@ -115,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes (default: REPRO_JOBS env or CPU count)",
-    )
-    parser.add_argument(
-        "--window-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="window-level parallelism for multi-region sampled runs"
-        " (default: REPRO_WINDOW_JOBS env or the --jobs worker count;"
-        " 1 = serial per-request windows, the bit-identity oracle)",
     )
     parser.add_argument(
         "--no-cache",
@@ -806,11 +796,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_SAMPLE_REGIONS"] = str(args.sample_regions)
     if args.sample_period is not None:
         os.environ["REPRO_SAMPLE_PERIOD"] = str(args.sample_period)
-    if args.window_jobs is not None:
-        # Window-level parallelism is a scheduling knob, not a request
-        # field — it never enters a fingerprint, so the env mirror
-        # changes wall-clock, never results.
-        os.environ["REPRO_WINDOW_JOBS"] = str(args.window_jobs)
     if args.service is not None:
         # Same env-mirror mechanism: every run_matrix call anywhere
         # downstream becomes a thin client of the experiment service.

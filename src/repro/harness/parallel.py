@@ -303,6 +303,36 @@ def _dispatch_mode(
     )
 
 
+def assemble_windows(depths, measure) -> RunStats | None:
+    """Fold a multi-region request's windows into its whole-run
+    aggregate: the one statement of the halt-drop rule.
+
+    ``measure(depth)`` is called lazily, in depth order, and returns
+    that window's stats (carrying ``ff_insts = snapshot.executed``) or
+    ``None`` when the window is not measured yet or failed — which
+    stops the fold and returns ``None``. The first window always counts
+    (legacy degenerate semantics when ``fast_forward`` overshoots the
+    program). After it, the first window whose functional prefix halted
+    short of its depth (``ff_insts < depth``) ends the fold: the program
+    ended before that window started (``workload.region`` is a ceiling,
+    not a promise), so it and every later window are dropped, and no
+    window after it is ever looked up. The aggregate is therefore the
+    same however (or whenever, for cached windows) the windows were
+    measured.
+    """
+    from repro.uarch.stats import aggregate_stats
+
+    kept: list[RunStats] = []
+    for depth in depths:
+        stats = measure(depth)
+        if stats is None:
+            return None
+        if kept and stats.ff_insts < depth:
+            break
+        kept.append(stats)
+    return aggregate_stats(kept)
+
+
 def _execute_multi_region(request: RunRequest, workload, config) -> RunStats:
     """Multi-region sampled execution: one detailed window per chain
     member, aggregated into a whole-run estimate with a confidence
@@ -311,34 +341,26 @@ def _execute_multi_region(request: RunRequest, workload, config) -> RunStats:
     Consumes :func:`~repro.harness.fastforward.iter_chain` as a
     stream — each window's snapshot is restored, measured, and
     released before the next member is touched, so at most one memory
-    image beyond the running window is live at a time.
+    image beyond the running window is live at a time. The fold stops
+    at the first short chain member, so the chain never advances past
+    the one window it measures and drops.
     """
     from repro.harness.fastforward import _plan_for_request, iter_chain
-    from repro.uarch.stats import aggregate_stats
 
     plan = _plan_for_request(request, workload)
-    per_region: list[RunStats] = []
-    for snapshot, hit in iter_chain(workload, config, plan.depths):
-        if (
-            snapshot is not None
-            and snapshot.executed < snapshot.ff_insts
-            and per_region
-        ):
-            # The program halted before this window's start
-            # (``workload.region`` is a ceiling, not a promise): there
-            # is nothing left to measure, so later windows are dropped
-            # rather than polluting the estimate with empty regions.
-            # The first window always runs (legacy degenerate
-            # semantics when fast_forward overshoots the program).
-            break
+    chain = iter_chain(workload, config, plan.depths)
+
+    def measure(depth: int) -> RunStats:
+        snapshot, hit = next(chain)
         stats = _dispatch_mode(
             request, workload, config, snapshot, plan.warmup, plan.sample
         )
         if snapshot is not None:
             stats.ff_insts = snapshot.executed
             stats.snapshot_hit = hit
-        per_region.append(stats)
-    return aggregate_stats(per_region)
+        return stats
+
+    return assemble_windows(plan.depths, measure)
 
 
 #: The most recently built workload in this process, as
@@ -471,93 +493,57 @@ def window_schedule(request: RunRequest) -> list[_WindowUnit]:
     ]
 
 
-def assemble_window_stats(per_window, depths) -> RunStats:
-    """Fold per-window stats back into the whole-run aggregate, with
-    the halt-drop rule reproduced exactly.
-
-    The serial loop breaks at the first chain member whose functional
-    prefix halted short of its requested depth (``executed <
-    ff_insts``), keeping the first window unconditionally (legacy
-    degenerate semantics when ``fast_forward`` overshoots the program).
-    A window's stats carry ``ff_insts = snapshot.executed``, so the
-    same rule here is ``stats.ff_insts < depth``: every window at or
-    after the first short member is discarded, making the assembled
-    aggregate bit-identical to :func:`_execute_multi_region` no matter
-    how (or when, for cached windows) the windows were measured.
-    """
-    from repro.uarch.stats import aggregate_stats
-
-    kept: list[RunStats] = []
-    for stats, depth in zip(per_window, depths):
-        if depth > 0 and stats.ff_insts < depth and kept:
-            break
-        kept.append(stats)
-    return aggregate_stats(kept)
-
-
 def _assemble_outcome(
     request: RunRequest,
     units,
     window_cached,
     unit_outcomes,
 ) -> "RequestOutcome":
-    """Reassemble one exploded request from its windows' outcomes.
+    """Reassemble one exploded request from its windows' outcomes with
+    :func:`assemble_windows`; a window that failed (skipped after
+    exhausting retries) fails the whole request unless an earlier short
+    chain member already dropped it.
 
-    Walks the schedule in depth order applying the serial loop's
-    halt-drop rule (see :func:`assemble_window_stats`); a window that
-    failed (skipped after exhausting retries) fails the whole request
-    unless an earlier short chain member already dropped it.
+    Every looked-up window's attempts and latency are charged; only
+    kept windows count as ``window_hits``.
     """
-    from repro.uarch.stats import aggregate_stats
-
-    kept: list[RunStats] = []
+    by_depth = {unit.depth: unit for unit in units}
     attempts = 0
-    hits = 0
     latency = 0.0
+    cached: list[bool] = []
     missing: str | None = None
-    for unit in units:
-        cached = window_cached.get(unit.key)
-        stats = cached
-        if stats is None:
-            outcome = unit_outcomes.get(unit.key)
-            if outcome is not None:
-                attempts += outcome.attempts
-                latency = max(latency, outcome.latency)
-                stats = outcome.stats
-            if stats is None:
-                missing = (
-                    outcome.error
-                    if outcome is not None and outcome.error
-                    else f"window at depth {unit.depth} was not measured"
-                )
-                break
-        if unit.depth > 0 and stats.ff_insts < unit.depth and kept:
-            # Halt-drop: the chain halted short of this window's start;
-            # it and every later window are discarded, exactly as the
-            # serial loop would never have run them.
-            break
-        if cached is not None:
-            hits += 1
-        kept.append(stats)
-    if missing is not None:
-        return RequestOutcome(
-            request,
-            "skipped",
-            None,
-            attempts=attempts,
-            error=missing,
-            latency=latency,
-            windows=len(units),
-            window_hits=hits,
+
+    def measure(depth: int) -> RunStats | None:
+        nonlocal attempts, latency, missing
+        unit = by_depth[depth]
+        stats = window_cached.get(unit.key)
+        cached.append(stats is not None)
+        if stats is not None:
+            return stats
+        outcome = unit_outcomes.get(unit.key)
+        if outcome is not None:
+            attempts += outcome.attempts
+            latency = max(latency, outcome.latency)
+            if outcome.stats is not None:
+                return outcome.stats
+        missing = (
+            outcome.error
+            if outcome is not None and outcome.error
+            else f"window at depth {depth} was not measured"
         )
+        return None
+
+    stats = assemble_windows(list(by_depth), measure)
+    kept = stats.sample_regions if stats is not None else len(cached)
     return RequestOutcome(
         request,
-        "ok",
-        aggregate_stats(kept),
+        "ok" if stats is not None else "skipped",
+        stats,
         attempts=attempts,
+        error=missing,
         latency=latency,
         windows=len(units),
-        window_hits=hits,
+        window_hits=sum(cached[:kept]),
     )
 
 
@@ -595,26 +581,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
         env = os.environ.get("REPRO_JOBS")
         jobs = int(env) if env else (os.cpu_count() or 1)
     return max(1, jobs)
-
-
-def resolve_window_jobs(window_jobs: int | None, jobs: int | None = None) -> int:
-    """Window-level parallelism: explicit arg, else ``REPRO_WINDOW_JOBS``
-    env (the ``--window-jobs`` CLI flag), else the matrix worker count.
-
-    ``1`` is the serial escape hatch (and bit-identity oracle): each
-    multi-region request measures its windows sequentially inside one
-    worker, exactly as before. Any value ``> 1`` explodes multi-region
-    requests into per-window work units scheduled through the same
-    pool as ordinary matrix entries. ``window_jobs`` is *not* part of
-    :class:`RunRequest` — it is pure execution strategy, so cache
-    fingerprints (and results) are identical either way.
-    """
-    if window_jobs is None:
-        env = os.environ.get("REPRO_WINDOW_JOBS")
-        window_jobs = int(env) if env else 0
-    if window_jobs <= 0:
-        return resolve_jobs(jobs)
-    return window_jobs
 
 
 def _resolve_timeout(timeout: float | None) -> float | None:
@@ -814,7 +780,6 @@ def run_matrix(
     jobs: int | None = None,
     cache: RunCache | None = None,
     *,
-    window_jobs: int | None = None,
     timeout: float | None = None,
     retries: int | None = None,
     on_error: str | None = None,
@@ -829,17 +794,16 @@ def run_matrix(
     process pool when more than one worker is useful (or whenever a
     ``timeout`` is set — in-process execution cannot be preempted).
 
-    **Window-parallel sampling.** When window-level parallelism is on
-    (``window_jobs`` / ``REPRO_WINDOW_JOBS``; default: the matrix
-    worker count), every multi-region request is exploded after the
-    chain prebuild into per-window work units that fan out through the
-    same pool as ordinary entries — inheriting timeout/retry/respawn/
-    fault-plan semantics — and are reassembled in depth order with the
-    serial loop's halt-drop rule, bit-identically. Each window also
-    gets its own content-addressed entry in the ``windows`` cache
-    namespace, so a re-sweep with an overlapping schedule (8 -> 10
-    regions, say) recomputes only the new windows. ``window_jobs=1``
-    is the serial escape hatch and bit-identity oracle.
+    **Window-parallel sampling.** With more than one worker, every
+    multi-region request is exploded after the chain prebuild into
+    per-window work units that fan out through the same pool as
+    ordinary entries — inheriting timeout/retry/respawn/fault-plan
+    semantics — and are reassembled in depth order by
+    :func:`assemble_windows`, bit-identically. Each window also gets
+    its own content-addressed entry in the ``windows`` cache namespace,
+    so a re-sweep with an overlapping schedule (8 -> 10 regions, say)
+    recomputes only the new windows. ``jobs=1`` measures each request's
+    windows serially in one process: the bit-identity oracle.
 
     Resilience knobs (see the module docstring for the failure model):
 
@@ -921,12 +885,12 @@ def run_matrix(
         # per-window units (first-class pool siblings of the plain
         # requests), answering already-measured windows from the
         # ``windows`` cache namespace.
-        window_jobs_n = resolve_window_jobs(window_jobs, jobs)
+        workers = resolve_jobs(jobs)
         plans: dict[RunRequest, list[_WindowUnit]] = {}
         window_cached: dict[str, RunStats] = {}
         units_by_key: dict[str, _WindowUnit] = {}
         windows_store = None
-        if window_jobs_n > 1:
+        if workers > 1:
             multi = [r for r in pending if r.sample_regions >= 2]
             if multi:
                 windows_store = _window_store(cache)
@@ -948,10 +912,7 @@ def run_matrix(
         pool_items: list = plain + list(units_by_key.values())
         executed: dict = {}
         if pool_items:
-            workers = min(
-                max(resolve_jobs(jobs), window_jobs_n if units_by_key else 1),
-                len(pool_items),
-            )
+            workers = min(workers, len(pool_items))
             use_pool = workers > 1 or timeout is not None
             if use_pool:
                 executed = _execute_pooled(

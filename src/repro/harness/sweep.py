@@ -9,28 +9,19 @@ re-runs the baseline/slice pair, reporting how the slice benefit moves.
 Each sweep is expressed as a list of :class:`RunRequest` descriptors
 with a single ``overrides`` entry and executed through
 :func:`~repro.harness.parallel.run_matrix`, so sweep points run in
-parallel and repeat renders hit the on-disk cache. A workload built
-outside the registry (or a non-preset config) falls back to direct
-sequential simulation.
+parallel and repeat renders hit the on-disk cache. The workload must
+come from the registry and the config must be a named preset: those
+are the only things a request can name.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.harness.cache import RunCache
-from repro.harness.fastforward import (
-    SnapshotStore,
-    build_sample_plan,
-    ensure_snapshot,
-    iter_chain,
-    sample_plan,
-)
 from repro.harness.parallel import CONFIG_PRESETS, RunRequest, run_matrix
-from repro.harness.runner import run_baseline, run_with_slices
 from repro.uarch.config import FOUR_WIDE, MachineConfig
-from repro.uarch.stats import RunStats, aggregate_stats, mean_ci95
+from repro.uarch.stats import RunStats, mean_ci95
 from repro.workloads import registry
 from repro.workloads.base import Workload
 
@@ -70,14 +61,6 @@ class SweepPoint:
         return mean_ci95(ratios)[1]
 
 
-def _requestable(workload: Workload, config: MachineConfig) -> bool:
-    """True when (workload, config) can round-trip through a RunRequest."""
-    return (
-        workload.name in registry.WORKLOAD_BUILDERS
-        and CONFIG_PRESETS.get(config.name) == config
-    )
-
-
 def _sweep(
     workload: Workload,
     config: MachineConfig,
@@ -98,98 +81,39 @@ def _sweep(
     warming-relevant sub-configs, so the architectural prefix is paid
     once for the whole sweep (``run_matrix`` pre-builds it).
     """
-    if _requestable(workload, config):
-        requests = []
-        for value in values:
-            overrides = ((override_path, value),)
-            for mode in ("base", "slice"):
-                requests.append(
-                    RunRequest(
-                        workload=workload.name,
-                        scale=workload.scale,
-                        mode=mode,
-                        config=config.name,
-                        overrides=overrides,
-                        fast_forward=fast_forward,
-                        sample=sample,
-                        sample_regions=sample_regions,
-                        sample_period=sample_period,
-                    )
-                )
-        stats = run_matrix(requests, jobs=jobs, cache=cache)
-        return [
-            SweepPoint(value=value, base=stats[2 * i], assisted=stats[2 * i + 1])
-            for i, value in enumerate(values)
-        ]
-    multi = sample_regions >= 2
-    region, warmup = sample_plan(sample)
-    store = SnapshotStore() if (fast_forward > 0 or multi) else None
-    points = []
-    for value in values:
-        varied = _apply(config, override_path, value)
-        if multi:
-            # Direct multi-region pair: both arms measure the same
-            # chain members, so their regions stay paired for the
-            # speedup confidence interval.
-            plan = build_sample_plan(
-                workload.region, fast_forward, sample,
-                sample_regions, sample_period,
-            )
-            base_regions: list[RunStats] = []
-            slice_regions: list[RunStats] = []
-            for snapshot, hit in iter_chain(
-                workload, varied, plan.depths, store=store
-            ):
-                if (
-                    snapshot is not None
-                    and snapshot.executed < snapshot.ff_insts
-                    and base_regions
-                ):
-                    break  # program halted before this window's start
-                sampled = dict(
-                    snapshot=snapshot, warmup=plan.warmup, region=plan.sample
-                )
-                pair = (
-                    run_baseline(workload, varied, **sampled),
-                    run_with_slices(workload, varied, **sampled),
-                )
-                if snapshot is not None:
-                    for stats in pair:
-                        stats.ff_insts = snapshot.executed
-                        stats.snapshot_hit = hit
-                base_regions.append(pair[0])
-                slice_regions.append(pair[1])
-            points.append(
-                SweepPoint(
-                    value=value,
-                    base=aggregate_stats(base_regions),
-                    assisted=aggregate_stats(slice_regions),
-                )
-            )
-            continue
-        snapshot = None
-        if fast_forward > 0:
-            # The store's warm-config key dedups across points whose
-            # varied parameter does not shape warmed state.
-            snapshot, _ = ensure_snapshot(
-                workload, varied, fast_forward, store=store
-            )
-        sampled = dict(snapshot=snapshot, warmup=warmup, region=region)
-        points.append(
-            SweepPoint(
-                value=value,
-                base=run_baseline(workload, varied, **sampled),
-                assisted=run_with_slices(workload, varied, **sampled),
-            )
+    if (
+        workload.name not in registry.WORKLOAD_BUILDERS
+        or CONFIG_PRESETS.get(config.name) != config
+    ):
+        # A request names its workload and preset; anything else would
+        # silently run the registry build or the same-named preset.
+        raise ValueError(
+            f"cannot sweep workload {workload.name!r} on config "
+            f"{config.name!r}: sweeps need a registered workload and an "
+            f"unmodified preset config ({tuple(CONFIG_PRESETS)})"
         )
-    return points
-
-
-def _apply(config, path: str, value):
-    head, _, rest = path.partition(".")
-    if rest:
-        value = _apply(getattr(config, head), rest, value)
-    return dataclasses.replace(config, **{head: value})
+    requests = []
+    for value in values:
+        overrides = ((override_path, value),)
+        for mode in ("base", "slice"):
+            requests.append(
+                RunRequest(
+                    workload=workload.name,
+                    scale=workload.scale,
+                    mode=mode,
+                    config=config.name,
+                    overrides=overrides,
+                    fast_forward=fast_forward,
+                    sample=sample,
+                    sample_regions=sample_regions,
+                    sample_period=sample_period,
+                )
+            )
+    stats = run_matrix(requests, jobs=jobs, cache=cache)
+    return [
+        SweepPoint(value=value, base=stats[2 * i], assisted=stats[2 * i + 1])
+        for i, value in enumerate(values)
+    ]
 
 
 def sweep_memory_latency(

@@ -36,11 +36,14 @@ import json
 import logging
 
 from repro.harness.cache import fingerprint, window_fingerprint
-from repro.harness.parallel import window_depths, window_request
+from repro.harness.parallel import (
+    assemble_windows,
+    window_depths,
+    window_request,
+)
 from repro.service.codec import decode_request, encode_request, encode_stats
 from repro.service.queue import JobQueue
 from repro.service.store import ContentStore
-from repro.uarch.stats import aggregate_stats
 
 log = logging.getLogger(__name__)
 
@@ -204,13 +207,10 @@ class ExperimentServer:
         return None, enqueued
 
     def _assemble(self, key: str) -> tuple[object, str | None]:
-        """Try to reassemble run-cache key *key* from its windows.
-
-        Walks the registered assembly in depth order with the serial
-        loop's halt-drop rule (the windows-cache mirror of
-        :func:`~repro.harness.parallel.assemble_window_stats`): a short
-        chain member ends the walk, so a halted chain is served even
-        while its never-needed tail windows are missing. Returns
+        """Try to reassemble run-cache key *key* from its windows with
+        :func:`~repro.harness.parallel.assemble_windows`: a short chain
+        member ends the fold, so a halted chain is served even while
+        its never-needed tail windows are missing. Returns
         ``(stats, None)`` on success — publishing the aggregate to the
         run cache so every later poll is a plain O(1) hit —
         ``(None, error)`` if a needed window's job failed, and
@@ -220,20 +220,22 @@ class ExperimentServer:
         assembly = self.queue.load_assembly(key)
         if assembly is None:
             return None, None
-        kept = []
-        for depth, wkey in assembly["windows"]:
-            stats = self.store.windows.get(wkey)
+        wkeys = dict(assembly["windows"])
+        failed: list[str] = []
+
+        def measure(depth: int):
+            stats = self.store.windows.get(wkeys[depth])
             if stats is None:
-                job = self.queue.job(wkey)
+                job = self.queue.job(wkeys[depth])
                 if job is not None and job.status == "failed":
-                    return None, (
+                    failed.append(
                         f"window at depth {depth}: {job.error or 'failed'}"
                     )
-                return None, None
-            if depth > 0 and stats.ff_insts < depth and kept:
-                break
-            kept.append(stats)
-        aggregate = aggregate_stats(kept)
+            return stats
+
+        aggregate = assemble_windows(wkeys, measure)
+        if aggregate is None:
+            return None, (failed[0] if failed else None)
         request = decode_request(assembly["request"])
         self.store.runs.put(request, aggregate)
         self.counters["assembled"] += 1
@@ -307,8 +309,14 @@ class ExperimentServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            if length > MAX_BODY_BYTES:
+                    value = value.strip()
+                    # HTTP allows ASCII digits only: anything else
+                    # (``abc``, ``-5``) is answered 400, never read.
+                    ascii_digits = value.isascii() and value.isdigit()
+                    length = int(value) if ascii_digits else -1
+            if length < 0:
+                status, payload = 400, {"error": "bad Content-Length"}
+            elif length > MAX_BODY_BYTES:
                 status, payload = 413, {"error": "body too large"}
             else:
                 body = await reader.readexactly(length) if length else b""

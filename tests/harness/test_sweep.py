@@ -1,11 +1,16 @@
 """Tests for the sensitivity-sweep helpers."""
 
+import dataclasses
+
+import pytest
+
 from repro.harness.sweep import (
     render_sweep,
     sweep_memory_latency,
     sweep_prediction_slots,
     sweep_window_size,
 )
+from repro.uarch.config import FOUR_WIDE
 from repro.workloads import registry
 
 
@@ -44,12 +49,18 @@ def test_sweep_results_cacheable(tmp_path):
         assert (a.base.ipc, a.assisted.ipc) == (b.base.ipc, b.assisted.ipc)
 
 
-def test_sweep_falls_back_for_unregistered_workload():
-    """Workloads built outside the registry still sweep (sequentially)."""
+def test_sweep_rejects_unregistered_workload():
+    """A sweep runs through RunRequests, which can only name registered
+    workloads and unmodified presets: anything else is refused, never
+    silently swapped for the registry build or the same-named preset."""
     workload = registry.build("vpr", scale=0.05)
     workload.name = "hand-rolled"
-    points = sweep_window_size(workload, (64,))
-    assert points[0].base.committed > 0
+    with pytest.raises(ValueError, match="hand-rolled"):
+        sweep_window_size(workload, (64,))
+    workload = registry.build("vpr", scale=0.05)
+    tweaked = dataclasses.replace(FOUR_WIDE, memory_latency=999)
+    with pytest.raises(ValueError, match=FOUR_WIDE.name):
+        sweep_window_size(workload, (64,), config=tweaked)
 
 
 def test_render_sweep_format():

@@ -1,8 +1,8 @@
 """Differential tests for window-parallel sampled execution.
 
 The tentpole invariant: exploding a multi-region request into
-per-window pool units (``window_jobs > 1``) must be *bit-identical* to
-the serial in-request loop (``window_jobs=1``, the oracle) — every
+per-window pool units (``jobs > 1``) must be *bit-identical* to
+the serial in-request loop (``jobs=1``, the oracle) — every
 stat, every workload, both slice arms, halt-drop included — while a
 re-sweep with an overlapping window schedule answers the shared
 windows from the ``windows`` cache namespace instead of re-measuring
@@ -12,7 +12,6 @@ undisturbed aggregate.
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -20,8 +19,8 @@ from repro.harness.cache import RunCache, WindowCache, window_fingerprint
 from repro.harness.faults import FaultKind, FaultPlan
 from repro.harness.parallel import (
     RunRequest,
+    assemble_windows,
     execute_request,
-    resolve_window_jobs,
     run_matrix,
     window_depths,
     window_request,
@@ -58,19 +57,15 @@ def sampled(workload, mode, **kw):
 
 def test_window_parallel_bit_identical_all_workloads(cache_env):
     """Every registered workload, slices off and on, through one
-    matrix: the window-parallel aggregates equal the ``window_jobs=1``
+    matrix: the window-parallel aggregates equal the ``jobs=1``
     oracle field-for-field (``dataclasses.asdict``, nothing masked)."""
     matrix = [
         sampled(name, mode)
         for name in sorted(registry.WORKLOAD_BUILDERS)
         for mode in ("base", "slice")
     ]
-    serial = run_matrix(
-        matrix, jobs=1, cache=RunCache(enabled=False), window_jobs=1
-    )
-    parallel = run_matrix(
-        matrix, jobs=2, cache=RunCache(enabled=False), window_jobs=2
-    )
+    serial = run_matrix(matrix, jobs=1, cache=RunCache(enabled=False))
+    parallel = run_matrix(matrix, jobs=2, cache=RunCache(enabled=False))
     for request, want, got in zip(matrix, serial, parallel):
         assert same_stats(want, got), (request.workload, request.mode)
         assert got.sample_regions >= 1
@@ -84,15 +79,9 @@ def test_window_parallel_halt_drop_matches_serial(cache_env):
         "mcf", "base", scale=0.2, sample=500,
         sample_regions=4, sample_period=5_000,
     )
-    serial = run_matrix(
-        [request], jobs=1, cache=RunCache(enabled=False), window_jobs=1
-    )[0]
+    serial = run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
     report = run_matrix(
-        [request],
-        jobs=2,
-        cache=RunCache(enabled=False),
-        window_jobs=2,
-        return_report=True,
+        [request], jobs=2, cache=RunCache(enabled=False), return_report=True
     )
     outcome = report.outcomes[0]
     assert same_stats(serial, outcome.stats)
@@ -100,6 +89,40 @@ def test_window_parallel_halt_drop_matches_serial(cache_env):
     # The parallel explosion still *scheduled* (and measured) all four
     # windows — the drop is an assembly decision, not a scheduling one.
     assert outcome.windows == 4
+
+
+def test_failed_window_past_the_halt_is_never_needed(cache_env):
+    """mcf@0.2 halts at ~11.1k instructions, so of depths 0/5k/10k/15k/
+    20k the 15k window is the short one and the 20k window is never
+    looked up: failing it on every attempt leaves the parent ``ok`` and
+    equal to the serial oracle, charged only the four windows the fold
+    read."""
+    request = sampled(
+        "mcf", "base", scale=0.2, sample=500,
+        sample_regions=5, sample_period=5_000,
+    )
+    units = window_schedule(request)
+    assert units[4].depth == 20_000
+    plan = FaultPlan.targeting({
+        (units[4], 0): FaultKind.FLAKY,
+        (units[4], 1): FaultKind.FLAKY,
+    })
+    report = run_matrix(
+        [request],
+        jobs=2,
+        cache=RunCache(enabled=False),
+        retries=1,
+        backoff_base=0.01,
+        on_error="skip",
+        fault_plan=plan,
+        return_report=True,
+    )
+    outcome = report.outcomes[0]
+    assert outcome.status == "ok"
+    assert outcome.attempts == 4
+    serial = run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
+    assert same_stats(serial, outcome.stats)
+    assert serial.sample_regions == 3
 
 
 # ----------------------------------------------------------------------
@@ -117,31 +140,23 @@ def test_resweep_answers_shared_windows_from_cache(cache_env):
         "mcf", "base", scale=0.2, sample=300,
         sample_regions=8, sample_period=1_000,
     )
-    first = run_matrix(
-        [eight], jobs=2, cache=cache, window_jobs=2, return_report=True
-    )
+    first = run_matrix([eight], jobs=2, cache=cache, return_report=True)
     assert first.outcomes[0].windows == 8
     assert first.window_hits == 0
 
     ten = dataclasses.replace(eight, sample_regions=10)
-    second = run_matrix(
-        [ten], jobs=2, cache=cache, window_jobs=2, return_report=True
-    )
+    second = run_matrix([ten], jobs=2, cache=cache, return_report=True)
     outcome = second.outcomes[0]
     assert outcome.status == "ok"
     assert outcome.windows == 10
     assert outcome.window_hits == 8  # only the 2 new depths were measured
 
     # The reassembled aggregate is still the serial oracle's, exactly.
-    oracle = run_matrix(
-        [ten], jobs=1, cache=RunCache(enabled=False), window_jobs=1
-    )[0]
+    oracle = run_matrix([ten], jobs=1, cache=RunCache(enabled=False))[0]
     assert same_stats(oracle, outcome.stats)
 
     # An exact re-run is a parent-level run-cache hit: no windows at all.
-    third = run_matrix(
-        [ten], jobs=2, cache=cache, window_jobs=2, return_report=True
-    )
+    third = run_matrix([ten], jobs=2, cache=cache, return_report=True)
     assert third.outcomes[0].status == "cached"
     assert third.windows == 0
 
@@ -165,10 +180,9 @@ def test_window_request_is_single_window_oracle(cache_env):
     request = sampled("gzip", "base", scale=0.1, sample_period=2_000)
     execute_request(request)  # build the chain once: both arms warm
     depths = window_depths(request)
-    per_window = [execute_request(window_request(request, d)) for d in depths]
-    from repro.harness.parallel import assemble_window_stats
-
-    assembled = assemble_window_stats(per_window, depths)
+    assembled = assemble_windows(
+        depths, lambda d: execute_request(window_request(request, d))
+    )
     serial = execute_request(request)
     assert same_stats(assembled, serial)
 
@@ -178,20 +192,10 @@ def test_window_request_is_single_window_oracle(cache_env):
 # ----------------------------------------------------------------------
 
 
-def test_resolve_window_jobs_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_WINDOW_JOBS", raising=False)
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_window_jobs(None) == 3  # falls back to worker count
-    assert resolve_window_jobs(1) == 1  # explicit serial escape hatch
-    assert resolve_window_jobs(5) == 5
-    monkeypatch.setenv("REPRO_WINDOW_JOBS", "7")
-    assert resolve_window_jobs(None) == 7  # env (the --window-jobs flag)
-    assert resolve_window_jobs(2) == 2  # explicit arg wins over env
-
-
 def test_window_jobs_is_not_part_of_the_fingerprint():
-    """``window_jobs`` is execution strategy, not experiment identity:
-    it is not a RunRequest field, so fingerprints cannot depend on it."""
+    """Window-level parallelism follows ``jobs``: execution strategy,
+    not experiment identity, so no RunRequest field (and therefore no
+    fingerprint) carries it."""
     assert "window_jobs" not in {
         f.name for f in dataclasses.fields(RunRequest)
     }
@@ -216,7 +220,6 @@ def test_window_crash_consumes_retry_and_converges(cache_env):
         [request],
         jobs=2,
         cache=RunCache(enabled=False),
-        window_jobs=2,
         retries=1,
         backoff_base=0.01,
         fault_plan=plan,
@@ -230,9 +233,7 @@ def test_window_crash_consumes_retry_and_converges(cache_env):
     # first attempt (crash attribution may charge in-flight siblings
     # too, so this is a floor, not an equality).
     assert outcome.attempts >= len(units) + 1
-    undisturbed = run_matrix(
-        [request], jobs=1, cache=RunCache(enabled=False), window_jobs=1
-    )[0]
+    undisturbed = run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
     assert same_stats(undisturbed, outcome.stats)
 
 
@@ -252,7 +253,6 @@ def test_window_crash_exhausting_retries_skips_parent(cache_env):
         [request],
         jobs=2,
         cache=RunCache(enabled=False),
-        window_jobs=2,
         retries=1,
         backoff_base=0.01,
         on_error="skip",
@@ -270,29 +270,12 @@ def test_window_crash_exhausting_retries_skips_parent(cache_env):
 # ----------------------------------------------------------------------
 
 
-def test_parser_accepts_window_jobs():
-    from repro.harness import cli
-
-    args = cli.build_parser().parse_args(["table3", "--window-jobs", "8"])
-    assert args.window_jobs == 8
-
-
-def test_window_jobs_flag_mirrors_to_env(monkeypatch, tmp_path):
-    from repro.harness import cli
-
-    monkeypatch.setenv("REPRO_WINDOW_JOBS", "stale")
-    monkeypatch.delenv("REPRO_WINDOW_JOBS")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    assert cli.main(["snapshot", "ls", "--window-jobs", "4"]) == 0
-    assert os.environ["REPRO_WINDOW_JOBS"] == "4"
-
-
 def test_cache_clear_covers_windows(cache_env, capsys):
     from repro.harness import cli
 
     cache = RunCache(cache_env)
     request = sampled("gzip", "base", scale=0.1, sample_period=2_000)
-    run_matrix([request], jobs=2, cache=cache, window_jobs=2)
+    run_matrix([request], jobs=2, cache=cache)
     windows = WindowCache(cache_env)
     assert len(list(windows.entry_paths())) == 3
     assert cli.main(["cache", "clear"]) == 0

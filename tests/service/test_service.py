@@ -4,7 +4,9 @@ pool — same ``RunStats`` pickle bytes, same content-addressed cache
 keys — and a repeated sweep must be answered entirely from the
 ContentStore with zero jobs enqueued."""
 
+import json
 import pickle
+import socket
 import threading
 
 import pytest
@@ -186,6 +188,23 @@ def test_http_surface(service):
         client._call("POST", "/api/sweep", {"requests": [{"bad": 1}]})
     with pytest.raises(ServiceError):
         client._call("GET", "/api/result/unknownkey")
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_gets_a_400(service, length):
+    """A Content-Length that is not a non-negative integer is answered
+    with a JSON 400, not a dropped connection."""
+    with socket.create_connection(("127.0.0.1", service.port), 10) as conn:
+        conn.sendall(
+            f"POST /api/sweep HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode()
+        )
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "Content-Length" in json.loads(body)["error"]
 
 
 def test_sweep_id_is_content_addressed():

@@ -15,11 +15,13 @@ import json
 
 import pytest
 
-from repro.harness.cache import fingerprint, window_fingerprint
+from repro.harness.cache import RunCache, fingerprint, window_fingerprint
 from repro.harness.parallel import (
     RunRequest,
     execute_request,
+    run_matrix,
     window_depths,
+    window_request,
 )
 from repro.service.codec import decode_stats, encode_request
 from repro.service.queue import JobQueue
@@ -128,6 +130,37 @@ def test_fully_warm_sweep_served_at_submit(server):
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+def test_failed_window_past_the_halt_is_never_needed(server):
+    """mcf@0.2 halts at ~11.1k instructions, so of depths 0/5k/10k/15k/
+    20k the 15k window is the short one. The poll serves the parent
+    even though the 20k window's job failed: that window is never
+    looked up, exactly as the serial loop never runs it."""
+    sweep = RunRequest(
+        workload="mcf", scale=0.2, mode="base",
+        sample=500, sample_regions=5, sample_period=5_000,
+    )
+    # The oracle runs first, so both sides restore the same stored chain.
+    want = run_matrix([sweep], jobs=1, cache=RunCache(enabled=False))[0]
+    first = submit(server, [sweep])
+    assert first["enqueued"] == 5
+    # Play the worker: publish every window but the 20k one, whose job
+    # fails on each of its attempts.
+    tail = window_fingerprint(sweep, 20_000)
+    while (job := server.queue.claim("tester")) is not None:
+        if job.key == tail:
+            server.queue.fail(job.key, "tester", "injected failure")
+        else:
+            server.store.windows.put(job.key, execute_request(job.request))
+            server.queue.complete(job.key, "tester")
+    assert server.queue.job(tail).status == "failed"
+    polled = poll(server, first["sweep"])
+    key = fingerprint(sweep)
+    assert polled["failed"] == {} and polled["pending"] == []
+    got = decode_stats(polled["results"][key])
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert got.sample_regions == 3
+
+
 def test_requests_without_closed_form_schedule_stay_whole(server):
     """No explicit period -> the schedule depends on workload length,
     which the server must not compute (it never simulates): the request
@@ -149,8 +182,6 @@ def test_worker_short_circuits_published_window(server):
     depths = window_depths(SWEEP)
     keys = [window_fingerprint(SWEEP, d) for d in depths]
     donor = ContentStore(server.store.root)
-    from repro.harness.parallel import window_request
-
     for depth, wkey in zip(depths, keys):
         donor.windows.put(wkey, execute_request(window_request(SWEEP, depth)))
     worker = drain(server, jobs=3)
