@@ -28,7 +28,7 @@ from repro.harness.sweep import (
     sweep_prediction_slots,
     sweep_window_size,
 )
-from repro.workloads import registry
+from repro.workloads.registry import WorkloadRef
 
 
 def _sampling(plan):
@@ -43,8 +43,8 @@ def _sampling(plan):
 def _run():
     mcf_plan = sampled_plan("mcf")
     vpr_plan = sampled_plan("vpr")
-    mcf = registry.build("mcf", mcf_plan["scale"])
-    vpr = registry.build("vpr", vpr_plan["scale"])
+    mcf = WorkloadRef("mcf", mcf_plan["scale"])
+    vpr = WorkloadRef("vpr", vpr_plan["scale"])
     return {
         "memory": sweep_memory_latency(
             mcf, (50, 100, 200), **_sampling(mcf_plan)

@@ -34,6 +34,7 @@ from repro.harness.runner import (
 )
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.workloads import registry
+from repro.workloads.registry import WorkloadRef
 
 #: Benchmarks Table 4 reports (those with non-trivial speedups).
 TABLE4_BENCHMARKS = ("bzip2", "eon", "gap", "gzip", "mcf", "perl", "twolf", "vpr")
@@ -148,6 +149,35 @@ def _is_preset(config: MachineConfig) -> bool:
     return CONFIG_PRESETS.get(config.name) == config
 
 
+def _check_sampled_config(
+    config: MachineConfig, sampled: bool, experiment: str
+) -> None:
+    """Refuse a sampled run on a modified config: sampling plans travel
+    only in a :class:`RunRequest`, and the direct fallback for modified
+    configs runs full detail at ``scale``, so it would ignore them."""
+    if sampled and not _is_preset(config):
+        raise ValueError(
+            f"cannot run {experiment} sampled on config {config.name!r}: "
+            f"sampled runs need an unmodified preset config "
+            f"({tuple(CONFIG_PRESETS)})"
+        )
+
+
+#: Scale of the one build per workload that Table 4 counts covered
+#: branch PCs from. Slice PCs do not depend on scale (pinned by
+#: ``tests/harness/test_experiments.py``), and a build this small takes
+#: milliseconds where a sampled plan's scale can take seconds.
+SLICE_PROBE_SCALE = 0.01
+
+
+def _covered_branch_count(name: str) -> int:
+    """Distinct branch PCs workload *name*'s slices cover."""
+    workload = registry.build(name, SLICE_PROBE_SCALE)
+    return len(
+        {pc for spec in workload.slices for pc in spec.covered_branch_pcs}
+    )
+
+
 def experiment_table1() -> tuple[list[MachineConfig], str]:
     """Table 1: print both machine configurations."""
     configs = [FOUR_WIDE, EIGHT_WIDE]
@@ -245,12 +275,11 @@ def experiment_figure1(
         )
     perfect_stats = run_matrix(perfect_requests, jobs=jobs, cache=cache)
 
-    workloads = {name: registry.build(name, scale) for name in registry.all_names()}
     results: list[PerfectSweepResult] = []
     for i, ((name, config), cls) in enumerate(zip(pairs, classifications)):
         results.append(
             PerfectSweepResult(
-                workload=workloads[name],
+                workload=WorkloadRef(name, scale),
                 config=config,
                 base=base_stats[i],
                 problem_perfect=perfect_stats[2 * i],
@@ -288,9 +317,12 @@ def experiment_figure11(
     multi-region plan from :func:`sampled_plan` — instead of one
     global full-detail ``scale``. All three modes of a workload share
     one warmed snapshot chain (prebuilt in parallel by ``run_matrix``),
-    and speedups gain per-region confidence intervals.
+    and speedups gain per-region confidence intervals. A modified
+    (non-preset) config runs directly in full detail at ``scale``, so
+    asking for it sampled raises ``ValueError``.
     """
     scale = scale if scale is not None else default_scale()
+    _check_sampled_config(config, sampled, "Figure 11")
     names = registry.all_names()
     if not _is_preset(config):
         results = [
@@ -311,7 +343,7 @@ def experiment_figure11(
     stats = run_matrix(requests, jobs=jobs, cache=cache)
     results = [
         TripleResult(
-            workload=registry.build(name, plans[name]["scale"]),
+            workload=WorkloadRef(name, plans[name]["scale"]),
             config=config,
             base=stats[3 * i],
             assisted=stats[3 * i + 1],
@@ -337,14 +369,13 @@ def experiment_table4(
     :func:`experiment_figure11`); base and slice arms share one chain.
     """
     scale = scale if scale is not None else default_scale()
-    scale_of = dict.fromkeys(benchmarks, scale)
+    _check_sampled_config(config, sampled, "Table 4")
     if _is_preset(config):
         plans = (
             {name: sampled_plan(name, horizon) for name in benchmarks}
             if sampled
             else {name: {"scale": scale} for name in benchmarks}
         )
-        scale_of = {name: plans[name]["scale"] for name in benchmarks}
         requests = [
             RunRequest(name, mode=mode, config=config.name, **plans[name])
             for name in benchmarks
@@ -365,12 +396,8 @@ def experiment_table4(
                 run_baseline(workload, config),
                 run_with_slices(workload, config),
             )
-    rows = []
-    for name in benchmarks:
-        workload = registry.build(name, scale_of[name])
-        base, assisted = pair_of[name]
-        covered = len(
-            {pc for spec in workload.slices for pc in spec.covered_branch_pcs}
-        )
-        rows.append(characterize_run(name, base, assisted, covered))
+    rows = [
+        characterize_run(name, *pair_of[name], _covered_branch_count(name))
+        for name in benchmarks
+    ]
     return rows, report.render_table4(rows)

@@ -23,6 +23,7 @@ from repro.uarch.core import Core
 from repro.uarch.perfect import ALL_PERFECT, PerfectSpec, problem_perfect
 from repro.uarch.stats import RunStats
 from repro.workloads.base import Workload
+from repro.workloads.registry import WorkloadRef
 
 
 def run_baseline(
@@ -128,9 +129,14 @@ def covered_problem_spec(workload: Workload) -> PerfectSpec:
 
 @dataclass
 class TripleResult:
-    """base / slice / limit results for one workload and config."""
+    """base / slice / limit results for one workload and config.
 
-    workload: Workload
+    ``workload`` is the built :class:`Workload` when :func:`run_triple`
+    simulated it here, and a :class:`WorkloadRef` when the results came
+    from a request matrix: rendering reads only its name.
+    """
+
+    workload: Workload | WorkloadRef
     config: MachineConfig
     base: RunStats
     assisted: RunStats
@@ -177,9 +183,13 @@ def run_triple(
 
 @dataclass
 class PerfectSweepResult:
-    """base / problem-perfect / all-perfect results (Figure 1)."""
+    """base / problem-perfect / all-perfect results (Figure 1).
 
-    workload: Workload
+    ``workload`` is built or a :class:`WorkloadRef`, as in
+    :class:`TripleResult`.
+    """
+
+    workload: Workload | WorkloadRef
     config: MachineConfig
     base: RunStats
     problem_perfect: RunStats

@@ -11,7 +11,9 @@ with a single ``overrides`` entry and executed through
 :func:`~repro.harness.parallel.run_matrix`, so sweep points run in
 parallel and repeat renders hit the on-disk cache. The workload must
 come from the registry and the config must be a named preset: those
-are the only things a request can name.
+are the only things a request can name. Only the workload's name and
+scale are read, so a :class:`~repro.workloads.registry.WorkloadRef`
+serves as well as a built workload.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.uarch.config import FOUR_WIDE, MachineConfig
 from repro.uarch.stats import RunStats, mean_ci95
 from repro.workloads import registry
 from repro.workloads.base import Workload
+from repro.workloads.registry import WorkloadRef
 
 
 @dataclass
@@ -62,7 +65,7 @@ class SweepPoint:
 
 
 def _sweep(
-    workload: Workload,
+    workload: Workload | WorkloadRef,
     config: MachineConfig,
     override_path: str,
     values: tuple[int, ...],
@@ -117,7 +120,7 @@ def _sweep(
 
 
 def sweep_memory_latency(
-    workload: Workload,
+    workload: Workload | WorkloadRef,
     latencies: tuple[int, ...] = (50, 100, 200, 400),
     config: MachineConfig = FOUR_WIDE,
     jobs: int | None = None,
@@ -137,7 +140,7 @@ def sweep_memory_latency(
 
 
 def sweep_window_size(
-    workload: Workload,
+    workload: Workload | WorkloadRef,
     windows: tuple[int, ...] = (32, 64, 128, 256),
     config: MachineConfig = FOUR_WIDE,
     jobs: int | None = None,
@@ -157,7 +160,7 @@ def sweep_window_size(
 
 
 def sweep_prediction_slots(
-    workload: Workload,
+    workload: Workload | WorkloadRef,
     slot_counts: tuple[int, ...] = (2, 4, 8, 16),
     config: MachineConfig = FOUR_WIDE,
     jobs: int | None = None,

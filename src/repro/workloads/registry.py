@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.workloads import (
@@ -51,6 +52,16 @@ SLICE_BENCHMARKS = (
     "vortex",
     "vpr",
 )
+
+
+@dataclass(frozen=True)
+class WorkloadRef:
+    """A workload named, not built: the ``name`` and ``scale`` a
+    :class:`Workload` would carry, for code that only needs to say
+    which workload it means (result records, sweep requests)."""
+
+    name: str
+    scale: float
 
 
 def build(name: str, scale: float = 1.0) -> Workload:

@@ -121,3 +121,121 @@ def test_experiment_table4_sampled_smoke():
     assert [row.program for row in rows] == ["vpr", "mcf"]
     assert "Table 4" in text
     assert all(row.speedup is not None for row in rows)
+
+
+# ----------------------------------------------------------------------
+# Rendering reads no workloads
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", experiments.RUN_LENGTH_MODEL)
+def test_slice_pcs_do_not_depend_on_scale(name):
+    """Table 4 counts covered branch PCs from one small probe build, so
+    every workload's slices must name the same PCs at every scale: the
+    probe scale, test and default scales, and the sampled plan's."""
+    from repro.workloads import registry
+
+    def slice_pcs(scale):
+        return [
+            (spec.name, spec.covered_branch_pcs, spec.covered_load_pcs)
+            for spec in registry.build(name, scale).slices
+        ]
+
+    probe = slice_pcs(experiments.SLICE_PROBE_SCALE)
+    for scale in (0.05, 0.35, experiments.sampled_plan(name, 30_000)["scale"]):
+        assert slice_pcs(scale) == probe, (name, scale)
+
+
+@pytest.mark.slow
+def test_rendering_builds_no_workloads(tmp_path, monkeypatch):
+    """A warm Figure 11 or Figure 1 regeneration builds nothing, and
+    Table 4 builds only its probe-scale workloads; each text is what
+    the report renders from fully built workloads."""
+    import dataclasses
+
+    from repro.harness import report
+    from repro.harness.cache import RunCache
+    from repro.workloads import registry
+
+    real_build = registry.build
+    builds = []
+
+    def counting_build(name, scale=1.0):
+        builds.append((name, scale))
+        return real_build(name, scale)
+
+    monkeypatch.setattr(registry, "build", counting_build)
+    cache = RunCache(tmp_path / "cache")
+
+    def warm_builds(experiment, **kwargs):
+        experiment(jobs=1, cache=cache, **kwargs)
+        builds.clear()
+        data, text = experiment(jobs=1, cache=cache, **kwargs)
+        return data, text, list(builds)
+
+    def built(results):
+        return [
+            dataclasses.replace(
+                r, workload=real_build(r.workload.name, r.workload.scale)
+            )
+            for r in results
+        ]
+
+    scale = 0.01
+    sampled = {"sampled": True, "horizon": 5_000}
+
+    def sampled_scale(name):
+        return experiments.sampled_plan(name, 5_000)["scale"]
+
+    for kwargs, scale_of in (
+        (sampled, sampled_scale),
+        ({"scale": scale}, lambda name: scale),
+    ):
+        results, text, made = warm_builds(
+            experiments.experiment_figure11, **kwargs
+        )
+        assert made == [], kwargs
+        assert [
+            (r.workload.name, r.workload.scale) for r in results
+        ] == [(name, scale_of(name)) for name in registry.all_names()]
+        assert text == report.render_figure11(built(results))
+
+    results, text, made = warm_builds(
+        experiments.experiment_figure1, scale=scale
+    )
+    assert made == []
+    assert text == report.render_figure1(built(results))
+
+    # Sampled, so the rows' run scales differ from the probe scale.
+    rows, text, made = warm_builds(experiments.experiment_table4, **sampled)
+    assert made == [
+        (name, experiments.SLICE_PROBE_SCALE)
+        for name in experiments.TABLE4_BENCHMARKS
+    ]
+    from_built = []
+    for row in rows:
+        workload = real_build(row.program, sampled_scale(row.program))
+        covered = {
+            pc for spec in workload.slices for pc in spec.covered_branch_pcs
+        }
+        from_built.append(
+            dataclasses.replace(row, problem_branches_covered=len(covered))
+        )
+    assert text == report.render_table4(from_built)
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [experiments.experiment_figure11, experiments.experiment_table4],
+)
+def test_sampled_run_refuses_a_modified_config(experiment):
+    """Sampling plans travel only in a RunRequest, which names a preset:
+    a sampled run on a modified config is refused by name rather than
+    silently run in full detail at ``scale``."""
+    import dataclasses
+
+    tweaked = dataclasses.replace(FOUR_WIDE, memory_latency=999)
+    with pytest.raises(ValueError, match=f"config {FOUR_WIDE.name!r}"):
+        experiment(
+            scale=0.01, config=tweaked, sampled=True, horizon=30_000, jobs=1
+        )

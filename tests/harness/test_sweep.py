@@ -49,6 +49,24 @@ def test_sweep_results_cacheable(tmp_path):
         assert (a.base.ipc, a.assisted.ipc) == (b.base.ipc, b.assisted.ipc)
 
 
+def test_sweep_accepts_an_unbuilt_workload_ref(tmp_path):
+    """A sweep reads only the workload's name and scale, so a
+    ``WorkloadRef`` names the same requests as the built workload: its
+    points are served from the built workload's cache entries."""
+    from repro.harness.cache import RunCache
+    from repro.workloads.registry import WorkloadRef
+
+    cache = RunCache(tmp_path / "cache")
+    built = sweep_memory_latency(
+        registry.build("vpr", scale=0.05), (50, 200), cache=cache
+    )
+    named = sweep_memory_latency(
+        WorkloadRef("vpr", 0.05), (50, 200), cache=cache
+    )
+    assert cache.hits == 4 and cache.misses == 4
+    assert named == built
+
+
 def test_sweep_rejects_unregistered_workload():
     """A sweep runs through RunRequests, which can only name registered
     workloads and unmodified presets: anything else is refused, never
