@@ -53,6 +53,7 @@ from repro.harness.fastforward import (
     build_sample_plan,
     ensure_snapshot,
     iter_chain,
+    list_snapshots,
     sample_plan,
 )
 from repro.harness.parallel import _apply_override, assemble_windows
@@ -164,7 +165,7 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
         )
         sampled_ipc.append(stats.ipc)
     sampled_s = time.perf_counter() - sampled_start
-    snapshots_on_disk = len(store.ls())
+    snapshots_on_disk = len(list_snapshots(store))
 
     # Full-detail side: same measured interval, but the prefix runs on
     # the detailed core (warming every structure along the way).

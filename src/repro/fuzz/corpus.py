@@ -1,7 +1,8 @@
 """Minimal-repro corpus: persistence + replay for divergent seeds.
 
-Cases live under ``<cache root>/fuzz/`` (``REPRO_CACHE_DIR`` or
-``.repro_cache``, same resolution as the run cache) as one
+Cases live under ``<cache root>/fuzz/`` (the ``fuzz`` namespace of
+:class:`~repro.service.store.ContentStore`, which lists, quarantines
+and clears them) as one
 self-contained JSON *replay file* per seed: the full shrunk program
 (instructions, labels, data image, slices), the recorded divergence
 classification, and the shrink provenance. JSON rather than pickle so a
@@ -21,6 +22,7 @@ import os
 from pathlib import Path
 
 from repro.fuzz.diff import Divergence, check_workload
+from repro.harness.blobstore import resolve_cache_root
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -30,14 +32,21 @@ from repro.workloads.base import Workload
 #: Bump when the case schema changes; loaders reject other versions.
 SCHEMA_VERSION = 1
 
-_SUFFIX = ".repro.json"
+#: Subdirectory of the cache root holding the corpus.
+CORPUS_SUBDIR = "fuzz"
+
+CASE_SUFFIX = ".repro.json"
+
+#: Top-level fields every replay file carries.
+_CASE_FIELDS = frozenset(
+    ("seed", "scale", "name", "region", "divergence", "size",
+     "original_size", "program", "slices")
+)
 
 
 def corpus_root(cache_root: str | os.PathLike | None = None) -> Path:
     """Corpus directory (not created until a case is saved)."""
-    if cache_root is None:
-        cache_root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    return Path(cache_root) / "fuzz"
+    return resolve_cache_root(cache_root) / CORPUS_SUBDIR
 
 
 def _encode_program(program: Program) -> dict:
@@ -141,20 +150,27 @@ def save_case(
         "program": _encode_program(workload.program),
         "slices": [_encode_slice(spec) for spec in workload.slices],
     }
-    path = root / f"{divergence.seed:#x}{_SUFFIX}"
+    path = root / f"{divergence.seed:#x}{CASE_SUFFIX}"
     path.write_text(json.dumps(case, indent=1, sort_keys=True) + "\n")
     return path
 
 
-def load_case(path: str | os.PathLike) -> dict:
-    """Load and schema-check one replay file."""
-    case = json.loads(Path(path).read_text())
+def check_case(case: dict) -> dict:
+    """Schema-check one decoded replay file."""
     schema = case.get("schema")
     if schema != SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: corpus schema {schema!r}, expected {SCHEMA_VERSION}"
+            f"corpus schema {schema!r}, expected {SCHEMA_VERSION}"
         )
+    missing = _CASE_FIELDS - case.keys()
+    if missing:
+        raise ValueError(f"corpus case lacks {sorted(missing)}")
     return case
+
+
+def load_case(path: str | os.PathLike) -> dict:
+    """Load and schema-check one replay file."""
+    return check_case(json.loads(Path(path).read_text()))
 
 
 def case_workload(case: dict) -> Workload:
@@ -179,22 +195,16 @@ def replay(path: str | os.PathLike) -> Divergence | None:
     return check_workload(case_workload(case), seed=case["seed"])
 
 
-def case_paths(cache_root: str | os.PathLike | None = None) -> list[Path]:
-    root = corpus_root(cache_root)
-    if not root.is_dir():
-        return []
-    return sorted(root.glob(f"*{_SUFFIX}"))
-
-
 def list_cases(cache_root: str | os.PathLike | None = None) -> list[dict]:
-    """Summaries for ``repro fuzz ls``, one dict per stored case."""
+    """Summaries for ``repro fuzz ls``, one dict per stored case that
+    loads; a corrupt case is quarantined by the fuzz namespace."""
+    from repro.service.store import FuzzNamespace
+
     summaries = []
-    for path in case_paths(cache_root):
-        case = load_case(path)
+    for _key, case, _path in FuzzNamespace(cache_root).items():
         d = case["divergence"]
         summaries.append(
             {
-                "file": str(path),
                 "seed": case["seed"],
                 "scale": case["scale"],
                 "klass": f"{d['kind']}:{d['tier_a']}/{d['tier_b']}",
@@ -204,11 +214,3 @@ def list_cases(cache_root: str | os.PathLike | None = None) -> list[dict]:
             }
         )
     return summaries
-
-
-def clear(cache_root: str | os.PathLike | None = None) -> int:
-    """Delete every stored case; returns how many were removed."""
-    paths = case_paths(cache_root)
-    for path in paths:
-        path.unlink()
-    return len(paths)

@@ -1,15 +1,23 @@
-"""Checksummed, quarantining on-disk blob store.
+"""Checksummed, quarantining on-disk store: the one implementation
+behind every cache namespace.
 
-The disk discipline shared by the run cache
-(:mod:`repro.harness.cache`) and the snapshot store
-(:mod:`repro.harness.fastforward`): entries are content-addressed
-files whose payload follows a fixed plain-bytes header — magic +
-schema tag + payload SHA-256 — and the checksum is verified **before
-any unpickling**, so corrupted bytes never reach the pickle parser
-(whose failure modes on rotten input include attempting multi-GB
-allocations, not just raising). An entry that fails validation is
-**quarantined** — moved to the corrupt directory, counted, and logged —
-then treated as a miss, so the result is recomputed and the evidence
+Every namespace of the cache root — run results
+(:class:`~repro.harness.cache.RunCache`), per-window results
+(:class:`~repro.harness.cache.WindowCache`), warmed snapshots
+(:class:`~repro.harness.fastforward.SnapshotStore`) and the fuzz corpus
+(:class:`~repro.service.store.FuzzNamespace`) — is an
+:class:`IntegrityStore` subclass that only *declares* its subdirectory,
+schema magic, file suffix and payload type. This class resolves the
+root, reads, verifies, decodes, type-checks, quarantines, counts, lists
+and clears entries.
+
+Pickled entries follow a fixed plain-bytes header — magic + schema tag
++ payload SHA-256 — and the checksum is verified **before any
+unpickling**, so corrupted bytes never reach the pickle parser (whose
+failure modes on rotten input include attempting multi-GB allocations,
+not just raising). An entry that fails validation is **quarantined** —
+moved to the shared ``corrupt/`` directory, counted, and logged — then
+treated as a miss, so the result is recomputed and the evidence
 survives for inspection; corruption is never silently swallowed.
 """
 
@@ -25,11 +33,13 @@ from repro.errors import CacheCorruptionError
 
 log = logging.getLogger(__name__)
 
-#: Subdirectory (under a store's quarantine root) where corrupt
-#: entries are moved.
+#: Default cache root (relative to the current working directory).
+DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: Subdirectory of the cache root where corrupt entries are moved.
 CORRUPT_SUBDIR = "corrupt"
 
-#: Exceptions a hostile or rotten pickle payload can raise while being
+#: Exceptions a hostile or rotten payload can raise while being
 #: decoded and validated. Anything else (a bug in our own code, a
 #: KeyboardInterrupt, an OS-level failure) propagates — only *decode*
 #: failures mean corruption.
@@ -46,41 +56,49 @@ DECODE_ERRORS = (
 )
 
 
+def resolve_cache_root(cache_root: str | os.PathLike | None = None) -> Path:
+    """The cache root: *cache_root* if given, else ``REPRO_CACHE_DIR``,
+    else ``.repro_cache``. The only reader of ``REPRO_CACHE_DIR``."""
+    if cache_root is None:
+        cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    return Path(cache_root)
+
+
 def payload_digest(blob: bytes) -> str:
     """Hex SHA-256 of a payload — the digest stored in entry headers."""
     return hashlib.sha256(blob).hexdigest()
 
 
 class IntegrityStore:
-    """Key -> checksummed-payload store with hit/miss/corruption
-    accounting.
+    """One namespace of the cache root: key -> checksummed payload,
+    with hit/miss/corruption accounting.
 
-    Subclasses choose the magic header (which carries their schema
-    version), the file suffix (distinct suffixes let two stores share
-    one tree without clearing each other), and how payload bytes map to
-    domain objects. A disabled store (``enabled=False``) never reads or
-    writes but still exists as an object, so call sites need no
-    branching.
+    Subclasses declare :attr:`subdir`, :attr:`magic` (which carries
+    their schema version), :attr:`suffix` (distinct suffixes let
+    namespaces share one tree without clearing each other) and
+    :attr:`payload_type`. A payload is the pickled dict
+    ``{field: value}``. A disabled store (``enabled=False``) never
+    reads or writes but still exists as an object, so call sites need
+    no branching.
     """
+
+    #: Namespace directory under the cache root (``""`` = the root).
+    subdir = ""
+    magic = b""
+    suffix = ".pkl"
+    #: Type the payload's :attr:`field` value must have.
+    payload_type: type = object
+    field = "stats"
 
     def __init__(
         self,
-        root: str | os.PathLike,
-        magic: bytes,
-        suffix: str = ".pkl",
+        cache_root: str | os.PathLike | None = None,
         enabled: bool = True,
-        corrupt_dir: str | os.PathLike | None = None,
     ):
-        self.root = Path(root)
-        self.magic = magic
-        self.suffix = suffix
+        self.cache_root = resolve_cache_root(cache_root)
+        self.root = self.cache_root / self.subdir
+        self.corrupt_dir = self.cache_root / CORRUPT_SUBDIR
         self.enabled = enabled
-        self.corrupt_dir = (
-            Path(corrupt_dir)
-            if corrupt_dir is not None
-            else self.root / CORRUPT_SUBDIR
-        )
-        self._header_len = len(magic) + 64 + 1  # magic + sha256 hex + \n
         self.hits = 0
         self.misses = 0
         #: Entries that failed checksum/schema validation and were
@@ -92,22 +110,37 @@ class IntegrityStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self.suffix}"
 
-    def _verify(self, raw: bytes) -> bytes:
-        """Validate one entry's header + checksum; return the payload.
+    @classmethod
+    def encode(cls, value) -> bytes:
+        """Payload bytes for *value* (what the header's digest covers)."""
+        return pickle.dumps(
+            {cls.field: value}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    def _decode(self, raw: bytes):
+        """Validate one entry's header + checksum, then unpickle and
+        type-check its payload.
 
         Integrity first, parsing second: the payload is only handed to
         ``pickle.loads`` after its checksum verifies.
         """
         magic = self.magic
+        header_len = len(magic) + 64 + 1  # magic + sha256 hex + \n
         if not raw.startswith(magic):
             raise CacheCorruptionError(f"bad magic/schema (want {magic!r})")
         digest = raw[len(magic) : len(magic) + 64]
-        if raw[len(magic) + 64 : self._header_len] != b"\n":
+        if raw[len(magic) + 64 : header_len] != b"\n":
             raise CacheCorruptionError("malformed entry header")
-        blob = raw[self._header_len :]
+        blob = raw[header_len:]
         if payload_digest(blob).encode() != digest:
             raise CacheCorruptionError("payload checksum mismatch")
-        return blob
+        value = pickle.loads(blob)[self.field]
+        if not isinstance(value, self.payload_type):
+            raise CacheCorruptionError(
+                f"payload is {type(value).__name__}, "
+                f"not {self.payload_type.__name__}"
+            )
+        return value
 
     def _quarantine(self, path: Path, reason: Exception) -> None:
         """Move a corrupt entry aside — evidence, not a silent miss."""
@@ -130,16 +163,11 @@ class IntegrityStore:
             reason,
         )
 
-    # ------------------------------------------------------------------
+    def _load(self, key: str):
+        """The decoded value for *key*, or ``None`` on a miss.
 
-    def load(self, key: str, decode):
-        """Return ``decode(payload)`` for *key*, or ``None`` on a miss.
-
-        *decode* maps verified payload bytes to the domain object and
-        must raise :class:`CacheCorruptionError` (or one of
-        :data:`DECODE_ERRORS`) on anything it does not trust. An entry
-        that fails verification or decoding is quarantined and counted
-        as both a corruption and a miss.
+        An entry that fails verification or decoding is quarantined and
+        counted as both a corruption and a miss.
         """
         if not self.enabled:
             self.misses += 1
@@ -157,7 +185,7 @@ class IntegrityStore:
             self.misses += 1
             return None
         try:
-            value = decode(self._verify(raw))
+            value = self._decode(raw)
         except CacheCorruptionError as exc:
             self._quarantine(path, exc)
             self.misses += 1
@@ -169,72 +197,83 @@ class IntegrityStore:
         self.hits += 1
         return value
 
-    def store(self, key: str, blob: bytes) -> str:
-        """Write *blob* under *key* (atomic rename, last writer wins);
-        return the payload digest (also when the store is disabled, so
-        callers can reason about content identity without I/O)."""
-        digest = payload_digest(blob)
+    def _write(self, key: str, value) -> None:
+        """Write *value* under *key* (atomic rename, last writer wins).
+        A disabled store encodes nothing, so an in-memory chain build
+        never pays a pickle per member."""
         if not self.enabled:
-            return digest
+            return
+        blob = self.encode(value)
+        digest = payload_digest(blob)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         with open(tmp, "wb") as fh:
             fh.write(self.magic + digest.encode() + b"\n" + blob)
         os.replace(tmp, path)
-        return digest
+
+    # ------------------------------------------------------------------
+
+    def get(self, key: str):
+        """The stored value for *key*, or ``None`` on a miss (corrupt
+        entries quarantined and counted)."""
+        return self._load(key)
+
+    def put(self, key: str, value) -> None:
+        """Store *value* under *key*."""
+        self._write(key, value)
 
     def contains(self, key: str) -> bool:
         """Cheap existence probe — no read, no checksum, no counters.
 
         Used to plan work (e.g. "is this snapshot chain fully built?")
         without paying a multi-megabyte unpickle per member. A corrupt
-        entry still reads as present; :meth:`load` is what detects and
+        entry still reads as present; a lookup is what detects and
         quarantines it when the payload is actually needed.
         """
         return self.enabled and self._path(key).exists()
+
+    def items(self):
+        """``(key, value, path)`` for every live entry that verifies;
+        corrupt entries met on the way are quarantined."""
+        for path in self.entry_paths():
+            key = path.name.removesuffix(self.suffix)
+            value = self._load(key)
+            if value is not None:
+                yield key, value, path
 
     def quarantined_count(self) -> int:
         """Number of quarantined entries bearing this store's suffix."""
         if not self.corrupt_dir.exists():
             return 0
-        return sum(
-            1 for _ in self.corrupt_dir.glob(f"*{self.suffix}")
-        )
+        return sum(1 for _ in self.corrupt_dir.glob(f"*{self.suffix}"))
 
     def total_bytes(self) -> int:
         """Total on-disk size of live entries (headers included)."""
         return sum(path.stat().st_size for path in self.entry_paths())
 
-    def entry_paths(self):
+    def entry_paths(self) -> list[Path]:
         """Every live entry file (quarantined ones excluded)."""
         if not self.root.exists():
-            return
+            return []
         corrupt = self.corrupt_dir
-        for path in sorted(self.root.rglob(f"*{self.suffix}")):
-            if corrupt in path.parents:
-                continue
-            yield path
+        return [
+            path
+            for path in sorted(self.root.rglob(f"*{self.suffix}"))
+            if corrupt not in path.parents
+        ]
 
     def clear(self) -> int:
         """Delete every entry with this store's suffix (quarantined
         ones included); return the number removed."""
+        paths = self.entry_paths()
+        if self.corrupt_dir.exists():
+            paths += self.corrupt_dir.glob(f"*{self.suffix}")
         removed = 0
-        roots = [self.root]
-        # A quarantine directory outside the store root (stores sharing
-        # one quarantine) is swept separately; under the root, rglob
-        # already covers it.
-        if self.corrupt_dir.exists() and self.root not in (
-            self.corrupt_dir, *self.corrupt_dir.parents
-        ):
-            roots.append(self.corrupt_dir)
-        for root in roots:
-            if not root.exists():
-                continue
-            for path in root.rglob(f"*{self.suffix}"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for path in paths:
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed

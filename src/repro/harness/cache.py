@@ -16,15 +16,13 @@ tests, benchmarks) is a pure cache hit.
 Entries live under ``.repro_cache/<key[:2]>/<key>.pkl`` (override the
 root with ``REPRO_CACHE_DIR``) with the checksummed-payload /
 corrupt-quarantine disk discipline of
-:class:`~repro.harness.blobstore.IntegrityStore`: a fixed plain-bytes
-header — magic + schema + payload SHA-256 — precedes the pickled
-payload, the checksum is verified **before any unpickling**, and a
-corrupt entry is moved to ``.repro_cache/corrupt/``, counted
+:class:`~repro.harness.blobstore.IntegrityStore`; a corrupt entry is
+moved to ``.repro_cache/corrupt/``, counted
 (:attr:`RunCache.corruptions`), and logged, then treated as a miss.
-The warmed-state snapshot store (:mod:`repro.harness.fastforward`)
-shares the same discipline (and the same quarantine directory) with a
-distinct suffix and schema. Escape hatches: the ``--no-cache`` CLI flag
-and ``repro cache clear``.
+A run cache carries its sibling namespaces under the same root:
+``windows`` (:class:`WindowCache`) and ``snapshots``
+(:class:`~repro.harness.fastforward.SnapshotStore`). Escape hatches:
+the ``--no-cache`` CLI flag and ``repro cache clear``.
 """
 
 from __future__ import annotations
@@ -33,25 +31,16 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 
-from repro.errors import CacheCorruptionError
-from repro.harness.blobstore import (
-    CORRUPT_SUBDIR,
-    DECODE_ERRORS,
-    IntegrityStore,
-)
+from repro.harness.blobstore import IntegrityStore
 from repro.uarch.stats import RunStats
 
 __all__ = [
-    "CORRUPT_SUBDIR",
-    "DECODE_ERRORS",
-    "DEFAULT_CACHE_DIR",
     "RunCache",
     "SCHEMA_VERSION",
-    "WINDOW_SUBDIR",
     "WindowCache",
+    "content_key",
     "fingerprint",
     "source_tree_hash",
     "window_fingerprint",
@@ -61,21 +50,6 @@ __all__ = [
 #: misses instead of unpickling into the wrong shape. (2: plain-bytes
 #: integrity header + checksummed pickle payload.)
 SCHEMA_VERSION = 2
-
-#: Entry header magic (see :mod:`repro.harness.blobstore` for the full
-#: header layout: magic + payload SHA-256 hex + newline).
-_MAGIC = b"repro-cache-%d\n" % SCHEMA_VERSION
-_HEADER_LEN = len(_MAGIC) + 64 + 1  # magic + sha256 hex + newline
-
-#: Default cache directory (relative to the current working directory).
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Subdirectory (under the cache root) holding per-window results.
-WINDOW_SUBDIR = "windows"
-
-#: Window-entry header magic — own schema tag so the run cache and the
-#: window store never decode each other's entries.
-_WINDOW_MAGIC = b"repro-window-%d\n" % SCHEMA_VERSION
 
 _source_hash_cache: str | None = None
 
@@ -101,15 +75,23 @@ def source_tree_hash() -> str:
     return _source_hash_cache
 
 
-def fingerprint(request, source_hash: str | None = None) -> str:
-    """Content-addressed key for *request* (a ``RunRequest``)."""
+def content_key(payload: dict, source_hash: str | None = None) -> str:
+    """The one key scheme of every store namespace: SHA-256 of
+    *payload* plus the source-tree hash, as canonical JSON."""
     payload = {
-        "schema": SCHEMA_VERSION,
+        **payload,
         "source": source_hash if source_hash is not None else source_tree_hash(),
-        "request": dataclasses.asdict(request),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def fingerprint(request, source_hash: str | None = None) -> str:
+    """Content-addressed key for *request* (a ``RunRequest``)."""
+    return content_key(
+        {"schema": SCHEMA_VERSION, "request": dataclasses.asdict(request)},
+        source_hash,
+    )
 
 
 def window_fingerprint(request, depth: int, source_hash: str | None = None) -> str:
@@ -130,126 +112,75 @@ def window_fingerprint(request, depth: int, source_hash: str | None = None) -> s
     sample = base.pop("sample")
     for field in ("fast_forward", "sample_regions", "sample_period"):
         base.pop(field)
-    # Local import: fastforward imports this module for the store
-    # discipline, so the warmup rule is resolved lazily.
+    # Local import: fastforward imports this module for the key scheme,
+    # so the warmup rule is resolved lazily.
     from repro.harness.fastforward import sample_plan
 
     _region, warmup = sample_plan(sample)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "kind": "window",
-        "source": source_hash if source_hash is not None else source_tree_hash(),
-        "request": base,
-        "window": {"depth": depth, "warmup": warmup, "sample": sample},
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-class RunCache(IntegrityStore):
-    """On-disk run cache with hit/miss/corruption accounting.
-
-    A disabled cache (``enabled=False``) never reads or writes but
-    still exists as an object, so call sites need no branching.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        enabled: bool = True,
-    ):
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        super().__init__(root, magic=_MAGIC, suffix=".pkl", enabled=enabled)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _decode_stats(blob: bytes) -> RunStats:
-        """Payload decoder: checksummed bytes -> validated RunStats."""
-        stats = pickle.loads(blob)["stats"]
-        if not isinstance(stats, RunStats):
-            raise CacheCorruptionError(
-                f"payload is {type(stats).__name__}, not RunStats"
-            )
-        return stats
-
-    def get(self, request) -> RunStats | None:
-        """Return the cached stats for *request*, or ``None`` on a miss.
-
-        An entry that fails decoding or validation (truncated pickle,
-        checksum mismatch, wrong schema, foreign payload) is quarantined
-        to ``corrupt/`` and counted as both a corruption and a miss.
-        """
-        return self.load(fingerprint(request), self._decode_stats)
-
-    def get_by_key(self, key: str) -> RunStats | None:
-        """Like :meth:`get`, addressed by an already-computed
-        fingerprint — the experiment service's serve path, which holds
-        result keys, not request objects."""
-        return self.load(key, self._decode_stats)
-
-    def put(self, request, stats: RunStats) -> None:
-        """Store *stats* for *request* (atomic rename, last writer wins).
-
-        The pickled payload follows a plain-bytes header carrying its
-        SHA-256, so :meth:`get` can tell bit rot from a valid entry
-        without unpickling anything.
-        """
-        if not self.enabled:
-            return
-        blob = pickle.dumps(
-            {"request": request, "stats": stats},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        self.store(fingerprint(request), blob)
+    return content_key(
+        {
+            "schema": SCHEMA_VERSION,
+            "kind": "window",
+            "request": base,
+            "window": {"depth": depth, "warmup": warmup, "sample": sample},
+        },
+        source_hash,
+    )
 
 
 class WindowCache(IntegrityStore):
-    """Per-window result store under ``<cache root>/windows/``.
+    """Per-window results under ``<cache root>/windows/``, keyed by
+    :func:`window_fingerprint`: the finer-grained sibling of
+    :class:`RunCache`, one entry per detailed window of a multi-region
+    run."""
 
-    The finer-grained sibling of :class:`RunCache`: one entry per
-    detailed window of a multi-region run, keyed by
-    :func:`window_fingerprint`. Shares the cache root and the
-    ``corrupt/`` quarantine with the run cache, but uses its own
-    suffix (``.win``) and schema magic so the stores never clear or
-    decode each other's entries.
+    subdir = "windows"
+    magic = b"repro-window-%d\n" % SCHEMA_VERSION
+    suffix = ".win"
+    payload_type = RunStats
+
+
+class RunCache(IntegrityStore):
+    """Whole-run results at the cache root, keyed by :func:`fingerprint`.
+
+    A run cache knows its sibling namespaces under the same root:
+    ``windows`` shares its ``enabled`` flag; ``snapshots`` is always
+    enabled, so a disabled run cache (``--no-cache``) still reuses
+    warmed snapshots instead of re-warming every window from the entry
+    point.
     """
+
+    magic = b"repro-cache-%d\n" % SCHEMA_VERSION
+    payload_type = RunStats
 
     def __init__(
         self,
         cache_root: str | os.PathLike | None = None,
         enabled: bool = True,
     ):
-        if cache_root is None:
-            cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        cache_root = Path(cache_root)
-        super().__init__(
-            cache_root / WINDOW_SUBDIR,
-            magic=_WINDOW_MAGIC,
-            suffix=".win",
-            enabled=enabled,
-            corrupt_dir=cache_root / CORRUPT_SUBDIR,
-        )
+        # Local import: fastforward imports this module for the key
+        # scheme.
+        from repro.harness.fastforward import SnapshotStore
 
-    @staticmethod
-    def _decode_stats(blob: bytes) -> RunStats:
-        stats = pickle.loads(blob)["stats"]
-        if not isinstance(stats, RunStats):
-            raise CacheCorruptionError(
-                f"payload is {type(stats).__name__}, not RunStats"
-            )
-        return stats
+        super().__init__(cache_root, enabled)
+        self.windows = WindowCache(self.cache_root, enabled)
+        self.snapshots = SnapshotStore(self.cache_root)
 
-    def get(self, key: str) -> RunStats | None:
-        """Return the cached window stats for *key*, or ``None`` on a
-        miss (corrupt entries quarantined and counted, as in the run
-        cache)."""
-        return self.load(key, self._decode_stats)
+    def get(self, request) -> RunStats | None:
+        """Return the cached stats for *request*, or ``None`` on a miss
+        (corrupt entries quarantined and counted)."""
+        return self._load(fingerprint(request))
 
-    def put(self, key: str, stats: RunStats) -> None:
-        """Store one window's *stats* under its precomputed key."""
-        if not self.enabled:
-            return
-        blob = pickle.dumps({"stats": stats}, protocol=pickle.HIGHEST_PROTOCOL)
-        self.store(key, blob)
+    def get_by_key(self, key: str) -> RunStats | None:
+        """Like :meth:`get`, addressed by an already-computed
+        fingerprint — the experiment service's serve path, which holds
+        result keys, not request objects."""
+        return self._load(key)
+
+    def put(self, request, stats: RunStats) -> None:
+        """Store *stats* for *request* (atomic rename, last writer wins)."""
+        self._write(fingerprint(request), stats)
+
+    def flush_counters(self) -> None:
+        """No-op: a bare run cache keeps its counters in process;
+        :class:`~repro.service.store.ContentStore` persists them."""

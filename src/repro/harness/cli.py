@@ -487,11 +487,11 @@ def run_bench(
 
 def run_snapshot_action(action: str | None) -> int:
     """``repro snapshot ls`` (default) / ``repro snapshot clear``."""
-    from repro.harness.fastforward import SnapshotStore
+    from repro.harness.fastforward import SnapshotStore, list_snapshots
 
     store = SnapshotStore()
     if action in (None, "ls"):
-        entries = store.ls()
+        entries = list_snapshots(store)
         quarantined = store.quarantined_count()
         if not entries:
             print(f"no snapshots under {store.root}")
@@ -558,23 +558,27 @@ def run_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import corpus as fuzz_corpus
 
     if args.action == "ls":
-        cases = fuzz_corpus.list_cases()
+        from repro.service.store import FuzzNamespace
+
+        fuzz = FuzzNamespace()
+        cases = fuzz_corpus.list_cases(fuzz.cache_root)
         if not cases:
-            print(f"no fuzz repros under {fuzz_corpus.corpus_root()}")
-            return 0
-        print(
-            f"{'seed':>12s} {'scale':>6s} {'size':>5s} {'orig':>5s} "
-            f"{'region':>8s}  divergence"
-        )
-        for case in cases:
+            print(f"no fuzz repros under {fuzz.root}")
+        else:
             print(
-                f"{case['seed']:>#12x} {case['scale']:>6g} "
-                f"{case['size']:>5d} {case['original_size']:>5d} "
-                f"{case['region']:>8d}  {case['klass']}"
+                f"{'seed':>12s} {'scale':>6s} {'size':>5s} {'orig':>5s} "
+                f"{'region':>8s}  divergence"
             )
-        print(
-            f"{len(cases)} stored repro(s) under {fuzz_corpus.corpus_root()}"
-        )
+            for case in cases:
+                print(
+                    f"{case['seed']:>#12x} {case['scale']:>6g} "
+                    f"{case['size']:>5d} {case['original_size']:>5d} "
+                    f"{case['region']:>8d}  {case['klass']}"
+                )
+            print(f"{len(cases)} stored repro(s) under {fuzz.root}")
+        quarantined = fuzz.quarantined_count()
+        if quarantined:
+            print(f"{quarantined} quarantined case(s) in {fuzz.corrupt_dir}")
         return 0
     if args.action is not None:
         print(
@@ -822,9 +826,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     from repro.service.store import ContentStore
 
-    # The run cache comes from a ContentStore so run_matrix flushes the
+    # A ContentStore as the run cache: run_matrix flushes the
     # persistent hit/miss counters behind `repro cache stats`.
-    cache = ContentStore(enabled=not args.no_cache).runs
+    cache = ContentStore(enabled=not args.no_cache)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     reset_skipped_log()
     blocks = []

@@ -62,20 +62,18 @@ bit-identical to a full detailed run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
-import os
-import pickle
 from dataclasses import dataclass, field
 
 from repro.arch.exceptions import Fault
 from repro.arch.interpreter import _compile, run_functional
 from repro.arch.memory import Memory
 from repro.arch.state import ThreadState
-from repro.errors import CacheCorruptionError
-from repro.harness.blobstore import CORRUPT_SUBDIR, IntegrityStore
-from repro.harness.cache import DEFAULT_CACHE_DIR, source_tree_hash
+from repro.harness.blobstore import IntegrityStore, payload_digest
+from repro.harness.cache import content_key
 from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
 from repro.uarch.branch.frontend_predictor import FrontEndPredictor
 from repro.uarch.cache import DataHierarchy
@@ -94,11 +92,6 @@ from repro.workloads.base import Workload
 #: chain parentage) instead of the predict/restore/replay protocol.
 #: v3: build provenance (``built_by`` / ``resumed_from_depth``).
 SNAPSHOT_SCHEMA_VERSION = 3
-
-_SNAP_MAGIC = b"repro-snap-%d\n" % SNAPSHOT_SCHEMA_VERSION
-
-#: Subdirectory of the cache root holding the snapshot store.
-SNAPSHOT_SUBDIR = "snapshots"
 
 #: Detailed-warming discard window for a sampled run: the first
 #: ``sample // DETAIL_WARMUP_FRACTION`` committed instructions (capped
@@ -267,17 +260,17 @@ def snapshot_fingerprint(
     build of depth *d* would — chains add no key dimension, so any
     request whose prefix lands on *d* shares the stored member.
     """
-    payload = {
-        "schema": SNAPSHOT_SCHEMA_VERSION,
-        "source": source_hash if source_hash is not None else source_tree_hash(),
-        "workload": workload,
-        "scale": scale,
-        "ff_insts": ff_insts,
-        "warming": warming,
-        "warm_config": warm_config_key(config) if warming else None,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return content_key(
+        {
+            "schema": SNAPSHOT_SCHEMA_VERSION,
+            "workload": workload,
+            "scale": scale,
+            "ff_insts": ff_insts,
+            "warming": warming,
+            "warm_config": warm_config_key(config) if warming else None,
+        },
+        source_hash,
+    )
 
 
 def snapshot_digest(snapshot: Snapshot) -> str:
@@ -298,7 +291,7 @@ def snapshot_digest(snapshot: Snapshot) -> str:
         snapshot = dataclasses.replace(
             snapshot, parent=None, built_by=None, resumed_from_depth=None
         )
-    return hashlib.sha256(_encode(snapshot)).hexdigest()
+    return payload_digest(SnapshotStore.encode(snapshot))
 
 
 def chain_digest(digests: list[str] | tuple[str, ...]) -> str:
@@ -307,12 +300,6 @@ def chain_digest(digests: list[str] | tuple[str, ...]) -> str:
     two independent builds."""
     joined = "\n".join(digests).encode()
     return hashlib.sha256(joined).hexdigest()
-
-
-def _encode(snapshot: Snapshot) -> bytes:
-    return pickle.dumps(
-        {"snapshot": snapshot}, protocol=pickle.HIGHEST_PROTOCOL
-    )
 
 
 # ----------------------------------------------------------------------
@@ -668,80 +655,33 @@ def fast_forward(
 
 
 class SnapshotStore(IntegrityStore):
-    """On-disk snapshot store under ``<cache root>/snapshots/``.
+    """Warmed snapshots under ``<cache root>/snapshots/``, keyed by
+    :func:`snapshot_fingerprint`."""
 
-    Shares the cache root (``REPRO_CACHE_DIR`` / ``.repro_cache``) and
-    the ``corrupt/`` quarantine with the run cache, but uses its own
-    suffix (``.snap``) and schema magic so the two stores never clear
-    or decode each other's entries.
-    """
+    subdir = "snapshots"
+    magic = b"repro-snap-%d\n" % SNAPSHOT_SCHEMA_VERSION
+    suffix = ".snap"
+    payload_type = Snapshot
+    field = "snapshot"
 
-    def __init__(
-        self,
-        cache_root: str | os.PathLike | None = None,
-        enabled: bool = True,
-    ):
-        if cache_root is None:
-            cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        from pathlib import Path
 
-        cache_root = Path(cache_root)
-        super().__init__(
-            cache_root / SNAPSHOT_SUBDIR,
-            magic=_SNAP_MAGIC,
-            suffix=".snap",
-            enabled=enabled,
-            corrupt_dir=cache_root / CORRUPT_SUBDIR,
-        )
-
-    @staticmethod
-    def _decode_snapshot(blob: bytes) -> Snapshot:
-        snapshot = pickle.loads(blob)["snapshot"]
-        if not isinstance(snapshot, Snapshot):
-            raise CacheCorruptionError(
-                f"payload is {type(snapshot).__name__}, not Snapshot"
-            )
-        return snapshot
-
-    def get(self, key: str) -> Snapshot | None:
-        """Return the stored snapshot for *key*, or ``None`` on a miss
-        (corrupt entries are quarantined and counted, as in the run
-        cache)."""
-        return self.load(key, self._decode_snapshot)
-
-    def put(self, key: str, snapshot: Snapshot) -> str:
-        """Persist *snapshot* under *key*; return its payload digest
-        (empty when the store is disabled — nothing is encoded, so an
-        in-memory chain build never pays a multi-megaword pickle per
-        member)."""
-        if not self.enabled:
-            return ""
-        return self.store(key, _encode(snapshot))
-
-    def ls(self) -> list[dict]:
-        """Describe every live snapshot (for ``repro snapshot ls``)."""
-        entries = []
-        for path in self.entry_paths():
-            key = path.stem
-            size = path.stat().st_size
-            snapshot = self.get(key)
-            if snapshot is None:
-                continue
-            entries.append(
-                {
-                    "key": key,
-                    "workload": snapshot.workload,
-                    "scale": snapshot.scale,
-                    "ff_insts": snapshot.ff_insts,
-                    "executed": snapshot.executed,
-                    "warming": snapshot.warming,
-                    "parent": snapshot.parent,
-                    "built_by": snapshot.built_by,
-                    "resumed_from_depth": snapshot.resumed_from_depth,
-                    "bytes": size,
-                }
-            )
-        return entries
+def list_snapshots(store: SnapshotStore) -> list[dict]:
+    """Describe every live snapshot (for ``repro snapshot ls``)."""
+    return [
+        {
+            "key": key,
+            "workload": snapshot.workload,
+            "scale": snapshot.scale,
+            "ff_insts": snapshot.ff_insts,
+            "executed": snapshot.executed,
+            "warming": snapshot.warming,
+            "parent": snapshot.parent,
+            "built_by": snapshot.built_by,
+            "resumed_from_depth": snapshot.resumed_from_depth,
+            "bytes": path.stat().st_size,
+        }
+        for key, snapshot, path in store.items()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -902,7 +842,6 @@ class _PrebuildTask:
 
     request: object  # the representative RunRequest
     depths: tuple[int, ...]
-    cache_root: str
 
     @property
     def workload(self) -> str:
@@ -913,8 +852,10 @@ class _PrebuildTask:
         return "prebuild"
 
 
-def _prebuild_entry(task: _PrebuildTask, attempt: int, fault_plan) -> int:
-    """Pool worker: build one task's chain into the shared store.
+def _prebuild_entry(
+    task: _PrebuildTask, attempt: int, fault_plan, store: SnapshotStore
+) -> int:
+    """Pool worker: build one task's chain into *store*.
 
     Top-level so the pool can pickle it. Members land in the store as
     they are captured (see :func:`iter_chain`), so a crashed or
@@ -925,7 +866,6 @@ def _prebuild_entry(task: _PrebuildTask, attempt: int, fault_plan) -> int:
 
     if fault_plan is not None:
         fault_plan.perturb(task.request, attempt)
-    store = SnapshotStore(task.cache_root)
     workload = shared_workload(task.request.workload, task.request.scale)
     config = task.request.resolve_config()
     built = 0
@@ -944,7 +884,6 @@ def _prebuild_tasks(requests, store: SnapshotStore):
 
     tasks: list[_PrebuildTask] = []
     seen: set[tuple[str, ...]] = set()
-    cache_root = str(store.root.parent)
     workloads: dict[tuple[str, float], Workload] = {}
     for request in requests:
         regions = getattr(request, "sample_regions", 0)
@@ -975,7 +914,7 @@ def _prebuild_tasks(requests, store: SnapshotStore):
         seen.add(keys)
         if all(store.contains(key) for key in keys):
             continue
-        tasks.append(_PrebuildTask(request, depths, cache_root))
+        tasks.append(_PrebuildTask(request, depths))
     return tasks
 
 
@@ -1037,7 +976,7 @@ def prebuild_snapshots(
             backoff_base=0.05,
             fault_plan=fault_plan,
             report=MatrixReport(),
-            entry=_prebuild_entry,
+            entry=functools.partial(_prebuild_entry, store=store),
         )
         return sum(
             outcome.stats

@@ -46,6 +46,7 @@ pool remains the default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import logging
 import os
@@ -333,7 +334,9 @@ def assemble_windows(depths, measure) -> RunStats | None:
     return aggregate_stats(kept)
 
 
-def _execute_multi_region(request: RunRequest, workload, config) -> RunStats:
+def _execute_multi_region(
+    request: RunRequest, workload, config, snapshots
+) -> RunStats:
     """Multi-region sampled execution: one detailed window per chain
     member, aggregated into a whole-run estimate with a confidence
     interval.
@@ -348,7 +351,7 @@ def _execute_multi_region(request: RunRequest, workload, config) -> RunStats:
     from repro.harness.fastforward import _plan_for_request, iter_chain
 
     plan = _plan_for_request(request, workload)
-    chain = iter_chain(workload, config, plan.depths)
+    chain = iter_chain(workload, config, plan.depths, store=snapshots)
 
     def measure(depth: int) -> RunStats:
         snapshot, hit = next(chain)
@@ -388,13 +391,17 @@ def shared_workload(name: str, scale: float):
     return workload
 
 
-def execute_request(request: RunRequest) -> RunStats:
-    """Build and run one request. Top-level so the pool can pickle it."""
+def execute_request(request: RunRequest, snapshots=None) -> RunStats:
+    """Build and run one request, restoring and storing warmed
+    snapshots in *snapshots* (a
+    :class:`~repro.harness.fastforward.SnapshotStore`; ``None`` = the
+    store under the default cache root). Top-level so the pool can
+    pickle it."""
     workload = shared_workload(request.workload, request.scale)
     config = request.resolve_config()
 
     if request.sample_regions >= 2:
-        return _execute_multi_region(request, workload, config)
+        return _execute_multi_region(request, workload, config, snapshots)
 
     # Single-window sampled run: fetch (or build) the warmed snapshot
     # and translate the sample length into the region + discard-window
@@ -409,7 +416,7 @@ def execute_request(request: RunRequest) -> RunStats:
         region, warmup = sample_plan(request.sample)
         if request.fast_forward > 0:
             snapshot, snapshot_hit = ensure_snapshot(
-                workload, config, request.fast_forward
+                workload, config, request.fast_forward, store=snapshots
             )
     stats = _dispatch_mode(
         request, workload, config, snapshot, warmup, region
@@ -547,32 +554,15 @@ def _assemble_outcome(
     )
 
 
-def _window_store(cache):
-    """The windows-namespace store riding alongside *cache*.
-
-    A :class:`~repro.service.store.ContentStore` pins its own
-    ``WindowCache`` on the run cache (so hit/miss counters persist);
-    a bare :class:`RunCache` gets one lazily under the same root,
-    inheriting its enabled flag.
-    """
-    store = getattr(cache, "window_store", None)
-    if store is None:
-        from repro.harness.cache import WindowCache
-
-        store = WindowCache(cache.root, enabled=cache.enabled)
-        cache.window_store = store
-    return store
-
-
-def _pool_entry(item, attempt: int, fault_plan) -> RunStats:
+def _pool_entry(item, attempt: int, fault_plan, snapshots=None) -> RunStats:
     """Pool worker: apply any planned fault, then run the item — an
     ordinary :class:`RunRequest` or one :class:`_WindowUnit` of an
     exploded multi-region request."""
     if fault_plan is not None:
         fault_plan.perturb(item, attempt)
     if isinstance(item, _WindowUnit):
-        return execute_request(item.request)
-    return execute_request(item)
+        item = item.request
+    return execute_request(item, snapshots)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -790,7 +780,9 @@ def run_matrix(
     """Execute *requests*, returning stats in input order.
 
     Identical requests are simulated once. Cached results are reused
-    (pass a disabled :class:`RunCache` to opt out); fresh runs go to a
+    (pass a disabled :class:`RunCache` to opt out); warmed snapshots
+    are built and restored in ``cache.snapshots``, under the cache's
+    own root, even when it is disabled. Fresh runs go to a
     process pool when more than one worker is useful (or whenever a
     ``timeout`` is set — in-process execution cannot be preempted).
 
@@ -879,7 +871,11 @@ def run_matrix(
             from repro.harness.fastforward import prebuild_snapshots
 
             prebuild_snapshots(
-                sampled, jobs=jobs, timeout=timeout, retries=retries
+                sampled,
+                store=cache.snapshots,
+                jobs=jobs,
+                timeout=timeout,
+                retries=retries,
             )
         # Two-level scheduling: explode multi-region requests into
         # per-window units (first-class pool siblings of the plain
@@ -889,11 +885,9 @@ def run_matrix(
         plans: dict[RunRequest, list[_WindowUnit]] = {}
         window_cached: dict[str, RunStats] = {}
         units_by_key: dict[str, _WindowUnit] = {}
-        windows_store = None
         if workers > 1:
             multi = [r for r in pending if r.sample_regions >= 2]
             if multi:
-                windows_store = _window_store(cache)
                 for request in multi:
                     units = window_schedule(request)
                     plans[request] = units
@@ -903,7 +897,7 @@ def run_matrix(
                             or unit.key in units_by_key
                         ):
                             continue
-                        stats = windows_store.get(unit.key)
+                        stats = cache.windows.get(unit.key)
                         if stats is not None:
                             window_cached[unit.key] = stats
                         else:
@@ -924,6 +918,9 @@ def run_matrix(
                     backoff_base=backoff_base,
                     fault_plan=fault_plan,
                     report=report,
+                    entry=functools.partial(
+                        _pool_entry, snapshots=cache.snapshots
+                    ),
                 )
             else:
                 executed = _execute_inline(
@@ -933,6 +930,7 @@ def run_matrix(
                     backoff_base=backoff_base,
                     fault_plan=fault_plan,
                     report=report,
+                    snapshots=cache.snapshots,
                 )
         # Publish fresh windows to their namespace, then reassemble
         # each exploded request in depth order (halt-drop applied at
@@ -942,8 +940,8 @@ def run_matrix(
             if isinstance(item, _WindowUnit):
                 outcome = executed.pop(item)
                 unit_outcomes[item.key] = outcome
-                if outcome.status == "ok" and windows_store is not None:
-                    windows_store.put(item.key, outcome.stats)
+                if outcome.status == "ok":
+                    cache.windows.put(item.key, outcome.stats)
         for request, units in plans.items():
             executed[request] = _assemble_outcome(
                 request, units, window_cached, unit_outcomes
@@ -956,11 +954,7 @@ def run_matrix(
             resolved[request] = outcome
 
     report.outcomes = [resolved[request] for request in requests]
-    store = getattr(cache, "content_store", None)
-    if store is not None:
-        # Caches handed out by a ContentStore persist their hit/miss
-        # counters across processes (``repro cache stats``).
-        store.flush_counters()
+    cache.flush_counters()
     if return_report:
         return report
     return report.stats_list()
@@ -1063,6 +1057,7 @@ def _execute_inline(
     backoff_base: float,
     fault_plan,
     report: MatrixReport,
+    snapshots,
 ) -> dict[RunRequest, RequestOutcome]:
     """Sequential in-process execution with retry/backoff.
 
@@ -1085,7 +1080,8 @@ def _execute_inline(
                 stats = execute_request(
                     request.request
                     if isinstance(request, _WindowUnit)
-                    else request
+                    else request,
+                    snapshots,
                 )
             except Exception as exc:  # noqa: BLE001 — retry boundary
                 error = exc

@@ -7,9 +7,9 @@ into reusable halves:
 * :mod:`repro.service.queue` — a persistent, crash-safe job queue of
   :class:`~repro.harness.parallel.RunRequest`\\ s (SQLite under
   ``.repro_cache/queue/``) with worker lease/claim/heartbeat semantics.
-* :mod:`repro.service.store` — :class:`ContentStore`, one keyed
-  get/put/verify/quarantine contract over the run cache, the snapshot
-  store, and the fuzz corpus.
+* :mod:`repro.service.store` — :class:`ContentStore`: the run cache
+  plus its windows, snapshots and fuzz namespaces on one cache root,
+  with stats, clear and persistent hit/miss counters.
 * :mod:`repro.service.server` — ``repro serve``: an asyncio HTTP API
   that answers sweep queries from the store in O(1) and enqueues only
   misses.

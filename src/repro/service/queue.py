@@ -35,9 +35,9 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.harness.cache import DEFAULT_CACHE_DIR, fingerprint
+from repro.harness.blobstore import resolve_cache_root
+from repro.harness.cache import fingerprint
 from repro.service.codec import decode_request, encode_request
 
 #: Subdirectory of the cache root holding the queue database.
@@ -123,9 +123,7 @@ class JobQueue:
         cache_root: str | os.PathLike | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
-        if cache_root is None:
-            cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.root = Path(cache_root) / QUEUE_SUBDIR
+        self.root = resolve_cache_root(cache_root) / QUEUE_SUBDIR
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "jobs.db"
         self.max_attempts = max_attempts

@@ -1,141 +1,73 @@
-"""Unified content-addressed store: one contract over every cache.
+"""The content store: every namespace of one cache root behind one
+object.
 
-Three on-disk stores grew up beside each other — the run cache
-(:class:`~repro.harness.cache.RunCache`), the snapshot store
-(:class:`~repro.harness.fastforward.SnapshotStore`), and the fuzz
-corpus (:mod:`repro.fuzz.corpus`) — each with its own clear/ls/
-quarantine accounting scattered across the CLI. :class:`ContentStore`
-fronts all of them as *namespaces* under one cache root with one keyed
-get/put/verify/quarantine contract:
+Four namespaces share the cache root and its ``corrupt/`` quarantine,
+each an :class:`~repro.harness.blobstore.IntegrityStore` declaration
+with its own subdirectory, suffix and schema check:
 
-* ``runs`` / ``snapshots`` — the existing
-  :class:`~repro.harness.blobstore.IntegrityStore` subclasses
-  (checksummed payloads, corrupt → ``corrupt/``), unchanged on disk.
-* ``fuzz`` — :class:`FuzzNamespace`, which wraps the JSON corpus in
-  the same contract: a case that fails JSON parsing or the schema
-  check is quarantined to the shared ``corrupt/`` directory and
-  counted, instead of crashing ``repro fuzz ls``. (Corpus files stay
+* ``runs`` — whole-run results (:class:`~repro.harness.cache.RunCache`);
+* ``windows`` — per-window results of multi-region runs
+  (:class:`~repro.harness.cache.WindowCache`);
+* ``snapshots`` — warmed snapshots and chains
+  (:class:`~repro.harness.fastforward.SnapshotStore`);
+* ``fuzz`` — the fuzz corpus (:class:`FuzzNamespace`). Cases stay
   plain JSON — diffable, committable — so this namespace validates by
-  schema rather than checksum.)
+  JSON parse and schema check rather than checksum; a case that fails
+  either is quarantined to ``corrupt/`` and counted like any rotten
+  entry, and ``repro fuzz ls`` lists the rest.
 
-The store also owns the **persistent hit/miss counters** behind
+:class:`ContentStore` is the run cache plus the fuzz namespace,
+stats, clear and the **persistent hit/miss counters** behind
 ``repro cache stats``: each namespace's in-process counters are
 accumulated into ``<cache root>/stats_counters.json`` by
 :meth:`ContentStore.flush_counters` (called by ``run_matrix``, the
 worker loop, and the server), so hit rates survive across processes.
+Lookups made inside ``run_matrix`` pool workers are not flushed.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 from pathlib import Path
 
 from repro.fuzz import corpus as fuzz_corpus
-from repro.harness.blobstore import CORRUPT_SUBDIR
-from repro.harness.cache import DEFAULT_CACHE_DIR, RunCache, WindowCache
-from repro.harness.fastforward import SnapshotStore
-
-log = logging.getLogger(__name__)
+from repro.harness.blobstore import IntegrityStore
+from repro.harness.cache import RunCache
 
 #: Namespaces every :class:`ContentStore` exposes, in display order.
-#: ``windows`` holds one entry per detailed window of a multi-region
-#: run (:func:`~repro.harness.cache.window_fingerprint` keys) — the
-#: finer granularity the window-parallel scheduler caches at.
 NAMESPACES = ("runs", "windows", "snapshots", "fuzz")
 
 #: Persistent counter accumulator under the cache root.
 COUNTERS_FILE = "stats_counters.json"
 
 
-class FuzzNamespace:
-    """The fuzz corpus under the unified store contract.
+class FuzzNamespace(IntegrityStore):
+    """The fuzz corpus under ``<cache root>/fuzz/``, keyed by the
+    corpus's own case names (``0x2a``-style seed tags); values are the
+    schema-checked case dicts."""
 
-    Keys are the corpus's own case names (``0x2a``-style seed tags);
-    payloads are the schema-checked case dicts. Validation failures
-    quarantine the file to the shared ``corrupt/`` directory — the
-    evidence survives, the listing keeps working, and the corruption
-    is counted exactly like a rotten run-cache entry.
-    """
-
-    suffix = ".repro.json"
-
-    def __init__(self, cache_root: str | os.PathLike, enabled: bool = True):
-        self.cache_root = Path(cache_root)
-        self.root = fuzz_corpus.corpus_root(cache_root)
-        self.corrupt_dir = self.cache_root / CORRUPT_SUBDIR
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.corruptions = 0
+    subdir = fuzz_corpus.CORPUS_SUBDIR
+    suffix = fuzz_corpus.CASE_SUFFIX
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}{self.suffix}"
 
-    def get(self, key: str) -> dict | None:
-        """Load and schema-check one case; quarantine on corruption."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        path = self._path(key)
-        if not path.is_file():
-            self.misses += 1
-            return None
-        try:
-            case = fuzz_corpus.load_case(path)
-        except (ValueError, KeyError, OSError) as exc:
-            self.corruptions += 1
-            self.misses += 1
-            try:
-                self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, self.corrupt_dir / path.name)
-            except OSError:
-                pass
-            log.warning(
-                "quarantined corrupt fuzz case %s: %s", path.name, exc
-            )
-            return None
-        self.hits += 1
-        return case
+    def _decode(self, raw: bytes) -> dict:
+        return fuzz_corpus.check_case(json.loads(raw))
 
     def put(self, workload, divergence, **kwargs) -> Path:
-        """Persist one case through the corpus writer."""
+        """Persist one case through the corpus writer (plain JSON, no
+        checksum header)."""
         return fuzz_corpus.save_case(
             workload, divergence, cache_root=self.cache_root, **kwargs
         )
 
-    def entry_paths(self):
-        return fuzz_corpus.case_paths(self.cache_root)
 
-    def total_bytes(self) -> int:
-        return sum(path.stat().st_size for path in self.entry_paths())
-
-    def quarantined_count(self) -> int:
-        if not self.corrupt_dir.exists():
-            return 0
-        return sum(1 for _ in self.corrupt_dir.glob(f"*{self.suffix}"))
-
-    def clear(self) -> int:
-        removed = fuzz_corpus.clear(self.cache_root)
-        if self.corrupt_dir.exists():
-            for path in self.corrupt_dir.glob(f"*{self.suffix}"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
-class ContentStore:
-    """Every namespace of the cache root behind one object.
-
-    ``runs``, ``snapshots``, and ``fuzz`` share the root directory (and
-    the ``corrupt/`` quarantine) but keep their own suffixes, schemas,
-    and decoders — exactly as before; this class adds the shared
-    surface (stats / clear / counter persistence), not a new disk
-    format. Existing cache contents are fully compatible.
+class ContentStore(RunCache):
+    """The run cache of one root plus its fuzz namespace, per-namespace
+    stats and clear, and counter persistence. Hand it to ``run_matrix``
+    (directly or as :attr:`runs`) and the matrix flushes its counters.
     """
 
     def __init__(
@@ -143,24 +75,17 @@ class ContentStore:
         cache_root: str | os.PathLike | None = None,
         enabled: bool = True,
     ):
-        if cache_root is None:
-            cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.root = Path(cache_root)
-        self.runs = RunCache(cache_root, enabled=enabled)
-        self.windows = WindowCache(cache_root, enabled=enabled)
-        self.snapshots = SnapshotStore(cache_root, enabled=enabled)
-        self.fuzz = FuzzNamespace(cache_root, enabled=enabled)
+        super().__init__(cache_root, enabled)
+        self.fuzz = FuzzNamespace(self.cache_root, enabled)
         self._flushed: dict[str, tuple[int, int, int]] = {}
-        # Back-pointers so ``run_matrix`` can flush the persistent
-        # counters when handed ``store.runs`` as its cache, and so its
-        # window decomposition reuses this namespace (counters and
-        # all) instead of minting a parallel WindowCache.
-        self.runs.content_store = self
-        self.runs.window_store = self.windows
 
-    def namespaces(self) -> dict[str, object]:
+    @property
+    def runs(self) -> ContentStore:
+        return self
+
+    def namespaces(self) -> dict[str, IntegrityStore]:
         return {
-            "runs": self.runs,
+            "runs": self,
             "windows": self.windows,
             "snapshots": self.snapshots,
             "fuzz": self.fuzz,
@@ -249,13 +174,16 @@ class ContentStore:
         what went away. Clearing everything also drops the persistent
         counters and the job queue's outstanding jobs."""
         stores = self.namespaces()
+        if only is not None and only not in stores:
+            raise ValueError(
+                f"unknown namespace {only!r}; known: {tuple(stores)}"
+            )
+        # IntegrityStore.clear, not store.clear: the runs namespace is
+        # this object, whose own clear() is this method.
+        names = tuple(stores) if only is None else (only,)
+        removed = {name: IntegrityStore.clear(stores[name]) for name in names}
         if only is not None:
-            if only not in stores:
-                raise ValueError(
-                    f"unknown namespace {only!r}; known: {tuple(stores)}"
-                )
-            return {only: stores[only].clear()}
-        removed = {name: store.clear() for name, store in stores.items()}
+            return removed
         try:
             self.counters_path.unlink()
         except OSError:

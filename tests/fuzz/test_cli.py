@@ -66,6 +66,24 @@ def test_ls_lists_stored_cases(cache_root, capsys):
     assert "stream:interp/event-fused" in out
 
 
+@pytest.mark.parametrize(
+    "rot", [b'{"schema": 99}', b"\x80 not json"], ids=["schema", "bytes"]
+)
+def test_ls_quarantines_corrupt_case(cache_root, capsys, rot):
+    """One rotten case costs only itself: it moves to the shared
+    corrupt/ directory, the good case is still listed, exit 0."""
+    good = _stored_case(cache_root)
+    bad = good.with_name("0xbad.repro.json")
+    bad.write_bytes(rot)
+    assert main(["fuzz", "ls"]) == 0
+    out = capsys.readouterr().out
+    assert "0x3" in out
+    assert "1 stored repro(s)" in out
+    assert "1 quarantined case(s)" in out
+    assert not bad.exists()
+    assert (cache_root / "corrupt" / bad.name).is_file()
+
+
 def test_replay_clean_case_exits_0(cache_root, capsys):
     path = _stored_case(cache_root)
     assert main(["fuzz", "--replay", str(path)]) == 0

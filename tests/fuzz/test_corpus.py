@@ -5,6 +5,7 @@ import pytest
 from repro.fuzz import corpus
 from repro.fuzz.diff import Divergence
 from repro.fuzz.gen import generate
+from repro.service.store import FuzzNamespace
 
 
 @pytest.fixture
@@ -59,9 +60,10 @@ def test_list_and_clear(tmp_path, divergence):
     assert summary["klass"] == "stream:interp/event-fused"
     assert summary["original_size"] == 500
     assert summary["size"] <= 500
-    assert corpus.clear(tmp_path) == 1
+    fuzz = FuzzNamespace(tmp_path)
+    assert fuzz.clear() == 1
     assert corpus.list_cases(tmp_path) == []
-    assert corpus.clear(tmp_path) == 0
+    assert fuzz.clear() == 0
 
 
 def test_replay_runs_the_full_check(tmp_path, divergence):

@@ -83,15 +83,11 @@ def test_clear_removes_entries(cache):
 # ---------------------------------------------------------------------------
 
 
-def _corrupt_dir(cache):
-    return cache.root / cache_mod.CORRUPT_SUBDIR
-
-
 def _assert_quarantined_and_recovers(cache, path, expected):
     assert cache.get(REQUEST) is None  # corrupt -> miss
     assert cache.corruptions == 1
     assert not path.exists()
-    assert (_corrupt_dir(cache) / path.name).exists()
+    assert (cache.corrupt_dir / path.name).exists()
     # The matrix path falls back to a fresh, bit-identical run and
     # repopulates the cache.
     (result,) = run_matrix([REQUEST], jobs=1, cache=cache)
@@ -132,20 +128,6 @@ def test_foreign_schema_entry_is_quarantined(cache):
     _assert_quarantined_and_recovers(cache, path, stats)
 
 
-def test_non_runstats_payload_is_quarantined(cache):
-    """A checksum-valid payload holding the wrong object type is still
-    rejected: the checksum proves integrity, not provenance."""
-    import hashlib
-
-    cache.put(REQUEST, execute_request(REQUEST))
-    path = cache._path(fingerprint(REQUEST))
-    blob = pickle.dumps({"request": REQUEST, "stats": {"ipc": 2.0}})
-    digest = hashlib.sha256(blob).hexdigest().encode()
-    path.write_bytes(cache_mod._MAGIC + digest + b"\n" + blob)
-    assert cache.get(REQUEST) is None
-    assert cache.corruptions == 1
-
-
 def test_clear_sweeps_quarantine_too(cache):
     cache.put(REQUEST, execute_request(REQUEST))
     path = cache._path(fingerprint(REQUEST))
@@ -154,3 +136,81 @@ def test_clear_sweeps_quarantine_too(cache):
     cache.put(REQUEST, execute_request(REQUEST))
     # One live entry + one quarantined entry.
     assert cache.clear() == 2
+
+
+# ---------------------------------------------------------------------------
+# One root per run cache, one key scheme.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_namespaces_follow_the_cache_root(tmp_path, monkeypatch, jobs):
+    """A run cache handed to run_matrix takes its windows and snapshots
+    with it: runs, windows and snapshots (prebuild, inline and pool
+    workers) all land under its root, never under REPRO_CACHE_DIR."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+    cache = RunCache(tmp_path / "a")
+    # Two multi-region requests: two independent chains, so jobs=2
+    # prebuilds them in pool workers.
+    requests = [
+        RunRequest(
+            workload=name, scale=scale, mode="base", fast_forward=0,
+            sample=300, sample_regions=3, sample_period=2_000,
+        )
+        for name, scale in (("gzip", 0.1), ("mcf", 0.2))
+    ]
+    run_matrix(requests, jobs=jobs, cache=cache)
+
+    def entries(root, suffix):
+        return list(root.rglob(f"*{suffix}")) if root.exists() else []
+
+    a = tmp_path / "a"
+    assert len(entries(a, ".pkl")) == 2
+    assert len(entries(a, ".snap")) == 4  # depths 2k and 4k per chain
+    assert len(entries(a, ".win")) == (6 if jobs > 1 else 0)
+    assert not (tmp_path / "b").exists()
+
+
+def test_disabled_run_cache_still_reuses_snapshots(tmp_path):
+    """The siblings share the run cache's root. ``--no-cache`` policy:
+    windows follow its enabled flag; warmed snapshots stay enabled."""
+    cache = RunCache(tmp_path, enabled=False)
+    assert cache.windows.root == tmp_path / "windows"
+    assert cache.snapshots.root == tmp_path / "snapshots"
+    assert not cache.windows.enabled
+    assert cache.snapshots.enabled
+
+
+def test_key_scheme_is_pinned():
+    """The three key functions share one helper; these literal keys
+    were computed before it existed, so no stored entry moved."""
+    from repro.harness.cache import window_fingerprint
+    from repro.harness.fastforward import snapshot_fingerprint
+    from repro.uarch.config import FOUR_WIDE
+
+    source = "0" * 64
+    fixed = dict(event_driven=True, fused_blocks=True)
+    single = RunRequest(
+        workload="vpr", scale=0.05, mode="slice", fast_forward=0,
+        sample=0, sample_regions=0, sample_period=0, **fixed,
+    )
+    multi = RunRequest(
+        workload="mcf", scale=0.5, mode="base",
+        overrides=(("memory_latency", 400),), fast_forward=1_000,
+        sample=2_000, sample_regions=4, sample_period=5_000, **fixed,
+    )
+    assert fingerprint(single, source_hash=source) == (
+        "4be4bcbf0b89b8174ac4ea5d749be25f3440d73f478592ce67e0e522cbcbfad4"
+    )
+    assert fingerprint(multi, source_hash=source) == (
+        "7523e51fc1ec3d8e4c7fc7f913b8da7611a54414ae16472f20ef828523bfd101"
+    )
+    assert window_fingerprint(multi, 6_000, source_hash=source) == (
+        "10d4b154f7c3b0706e68e727eba98d37bd5bb340d858cc58b06895f5302b9831"
+    )
+    assert snapshot_fingerprint(
+        "mcf", 0.5, 6_000, FOUR_WIDE, source_hash=source
+    ) == "12a3f6134c3cfe54b928a078beb8833a63386cdc623c985ee1fb5a9ad7d617aa"
+    assert snapshot_fingerprint(
+        "mcf", 0.5, 6_000, FOUR_WIDE, warming=False, source_hash=source
+    ) == "dfa4fec833a6340dfde4c9563a961eba85721ef2fefac0c89e25bd2cf4e359fd"

@@ -26,6 +26,7 @@ from repro.harness.fastforward import (
     ensure_chain,
     ensure_snapshot,
     fast_forward,
+    list_snapshots,
     sample_plan,
     snapshot_digest,
     snapshot_fingerprint,
@@ -281,7 +282,7 @@ def test_snapshot_suffixes_keep_stores_disjoint(cache_env):
     assert len(list(cache.entry_paths())) == 1  # run survived
     ensure_snapshot(workload, FOUR_WIDE, 500, store=store)
     assert cache.clear() == 1
-    assert len(store.ls()) == 1  # snapshot survived
+    assert len(list_snapshots(store)) == 1  # snapshot survived
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_sweep_shares_one_snapshot(cache_env):
         fast_forward=2_000, sample=500,
     )
     store = SnapshotStore(cache_env)
-    assert len(store.ls()) == 1
+    assert len(list_snapshots(store)) == 1
     for point in points:
         assert point.base.ff_insts == 2_000
         assert point.base.snapshot_hit  # prebuilt before the matrix
@@ -388,7 +389,7 @@ def test_cli_cache_clear_covers_snapshots(cache_env, capsys):
     out = capsys.readouterr().out
     assert "1 cached run(s)" in out and "1 snapshot(s)" in out
     assert len(list(RunCache(cache_env).entry_paths())) == 0
-    assert len(SnapshotStore(cache_env).ls()) == 0
+    assert len(list_snapshots(SnapshotStore(cache_env))) == 0
 
 
 def test_cli_cache_clear_snapshots_only(cache_env, capsys):
@@ -648,7 +649,7 @@ def test_sweep_shares_one_chain(cache_env):
         cache=RunCache(enabled=False),
         sample=500, sample_regions=3, sample_period=4_000,
     )
-    entries = SnapshotStore(cache_env).ls()
+    entries = list_snapshots(SnapshotStore(cache_env))
     # One chain: regions-1 members with depth > 0 (window 0 is cold),
     # shared by all four runs (2 latencies x base/slice).
     assert len(entries) == 2
@@ -941,9 +942,8 @@ def test_parallel_prebuild_matches_serial_digests(tmp_path):
         store = SnapshotStore(root)
         built = prebuild_snapshots(requests, store=store, jobs=jobs)
         entries = {}
-        for entry in store.ls():
-            snap = store.get(entry["key"])
-            entries[entry["key"]] = (snapshot_digest(snap), snap.built_by)
+        for key, snap, _path in store.items():
+            entries[key] = (snapshot_digest(snap), snap.built_by)
         return built, entries
 
     serial_built, serial = build(1, tmp_path / "serial")

@@ -2,12 +2,15 @@
 cache, snapshot store, and fuzz corpus, plus cross-process counter
 persistence."""
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.fuzz.diff import Divergence
 from repro.fuzz.gen import generate
+from repro.harness.cache import fingerprint
 from repro.harness.parallel import RunRequest, run_matrix
 from repro.service.store import NAMESPACES, ContentStore
 from repro.uarch.stats import RunStats
@@ -50,31 +53,91 @@ def test_stats_counts_entries_and_bytes(tmp_path, divergence):
     assert stats["snapshots"]["hit_rate"] is None
 
 
-def test_fuzz_namespace_quarantines_corrupt_case(tmp_path, divergence):
+def _populate(store, divergence):
+    """One entry in every namespace; returns ``{namespace: (key,
+    lookup)}`` where ``lookup()`` reads that entry back."""
+    from repro.harness.fastforward import Snapshot
+
+    window_key = "ab" * 32
+    snap_key = "cd" * 32
+    stats = RunStats(config_name="4-wide", workload_name="vpr")
+    store.runs.put(VPR, stats)
+    store.windows.put(window_key, stats)
+    store.snapshots.put(
+        snap_key,
+        Snapshot(
+            workload="gzip", scale=0.05, ff_insts=1, executed=1, pc=0,
+            halted=False, regs=[0] * 32, memory_words={}, warming=False,
+        ),
+    )
+    case = store.fuzz.put(generate(3, 0.25), divergence)
+    fuzz_key = case.name.removesuffix(".repro.json")
+    return {
+        "runs": (fingerprint(VPR), lambda: store.runs.get(VPR)),
+        "windows": (window_key, lambda: store.windows.get(window_key)),
+        "snapshots": (snap_key, lambda: store.snapshots.get(snap_key)),
+        "fuzz": (fuzz_key, lambda: store.fuzz.get(fuzz_key)),
+    }
+
+
+def truncated(ns, store, raw):
+    return raw[: len(raw) // 2]
+
+
+def bit_flip(ns, store, raw):
+    raw = bytearray(raw)
+    raw[len(raw) // 2] ^= 0xFF
+    return bytes(raw)
+
+
+def foreign_schema(ns, store, raw):
+    if ns == "fuzz":
+        return b'{"schema": 99}'
+    return raw.replace(store.magic, b"repro-foreign-9\n", 1)
+
+
+def wrong_type(ns, store, raw):
+    """Checksum-valid (or valid JSON) but not the namespace's type:
+    the checksum proves integrity, not provenance."""
+    if ns == "fuzz":
+        return b"[1, 2, 3]"
+    field = "snapshot" if ns == "snapshots" else "stats"
+    blob = pickle.dumps({field: {"ipc": 2.0}})
+    digest = hashlib.sha256(blob).hexdigest().encode()
+    return store.magic + digest + b"\n" + blob
+
+
+@pytest.mark.parametrize("ns", NAMESPACES)
+@pytest.mark.parametrize(
+    "rot",
+    [truncated, bit_flip, foreign_schema, wrong_type],
+    ids=lambda rot: rot.__name__,
+)
+def test_corrupt_entry_is_quarantined(tmp_path, divergence, ns, rot):
+    """Every namespace, every flavor of rot: the lookup is a miss, the
+    entry moves to the shared corrupt/, the corruption is counted, and
+    clearing the namespace leaves the others alone."""
     store = ContentStore(tmp_path)
-    path = store.fuzz.put(generate(3, 0.25), divergence)
-    key = path.name.removesuffix(".repro.json")
-    assert store.fuzz.get(key) is not None
-    assert store.fuzz.get("nope") is None
+    entries = _populate(store, divergence)
+    namespace = store.namespaces()[ns]
+    key, lookup = entries[ns]
+    path = namespace._path(key)
+    assert lookup() is not None
+    assert namespace._load("0" * 64) is None  # absent: a plain miss
+    path.write_bytes(rot(ns, namespace, path.read_bytes()))
 
-    path.write_text("{ not json")
-    assert store.fuzz.get(key) is None
-    assert not path.exists()  # moved, not deleted: evidence survives
-    assert store.fuzz.quarantined_count() == 1
-    assert (store.fuzz.corrupt_dir / path.name).is_file()
-    assert store.fuzz.corruptions == 1
-    assert store.stats()["fuzz"]["quarantined"] == 1
+    assert lookup() is None
+    assert not path.exists()
+    assert (tmp_path / "corrupt" / path.name).is_file()
+    assert namespace.corruptions == 1
+    stats = store.stats()
+    assert stats[ns]["quarantined"] == 1
+    assert stats[ns]["corruptions"] == 1
 
-
-def test_fuzz_namespace_rejects_wrong_schema(tmp_path, divergence):
-    store = ContentStore(tmp_path)
-    path = store.fuzz.put(generate(3, 0.25), divergence)
-    case = json.loads(path.read_text())
-    case["schema"] = 999
-    path.write_text(json.dumps(case))
-    key = path.name.removesuffix(".repro.json")
-    assert store.fuzz.get(key) is None
-    assert store.fuzz.quarantined_count() == 1
+    assert store.clear(only=ns) == {ns: 1}  # the quarantined entry
+    for other, entry in store.stats().items():
+        assert entry["entries"] == (0 if other == ns else 1), other
+        assert entry["quarantined"] == 0
 
 
 def test_clear_reports_per_namespace(tmp_path, divergence):

@@ -38,10 +38,11 @@ SWEEP = RunRequest(
 
 @pytest.fixture
 def server(tmp_path, monkeypatch):
-    """A routed-but-unbound server over a temp store + queue (the
-    snapshot store shares the same root via REPRO_CACHE_DIR so worker
-    chain builds land in tmp too)."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    """A routed-but-unbound server over a temp store + queue. The env
+    root is the store's root, so the direct ``execute_request`` oracle
+    restores the same snapshots the workers built (``snapshot_hits``
+    match)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "server"))
     store = ContentStore(tmp_path / "server")
     queue = JobQueue(store.root)
     server = ExperimentServer(store=store, queue=queue, port=0)
