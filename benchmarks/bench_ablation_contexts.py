@@ -11,18 +11,18 @@ import dataclasses
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.uarch.config import FOUR_WIDE
 from repro.workloads import mcf
 
 
 def _run():
     workload = mcf.build(scale=default_scale())
-    base = run_baseline(workload)
+    base = simulate(workload)
     results = {}
     for contexts in (2, 4, 8):
         config = dataclasses.replace(FOUR_WIDE, thread_contexts=contexts)
-        results[contexts] = run_with_slices(workload, config)
+        results[contexts] = simulate(workload, "slice", config)
     return base, results
 
 

@@ -9,7 +9,7 @@ main thread, so slice-assisted IPC can only improve.
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import registry
 
 BENCHMARKS = ("vpr", "bzip2", "mcf")
@@ -19,9 +19,9 @@ def _run():
     results = {}
     for name in BENCHMARKS:
         workload = registry.build(name, scale=default_scale())
-        base = run_baseline(workload)
-        shared = run_with_slices(workload)
-        dedicated = run_with_slices(workload, dedicated=True)
+        base = simulate(workload)
+        shared = simulate(workload, "slice")
+        dedicated = simulate(workload, "slice", dedicated=True)
         results[name] = (base, shared, dedicated)
     return results
 

@@ -9,15 +9,15 @@ against the Figure 3 ``node_to_heap`` fork (~40 instructions of lead).
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import vpr
 
 
 def _run():
     workload = vpr.build(scale=default_scale())
-    base = run_baseline(workload)
-    hoisted = run_with_slices(workload)
-    late = run_with_slices(workload, slices=(vpr.late_fork_slice(workload),))
+    base = simulate(workload)
+    hoisted = simulate(workload, "slice")
+    late = simulate(workload, "slice", slices=(vpr.late_fork_slice(workload),))
     return base, hoisted, late
 
 

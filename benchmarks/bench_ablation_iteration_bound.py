@@ -18,7 +18,7 @@ import dataclasses
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import vpr
 
 BOUNDS = (1, 2, 4, 8)
@@ -26,11 +26,11 @@ BOUNDS = (1, 2, 4, 8)
 
 def _run():
     workload = vpr.build(scale=default_scale())
-    base = run_baseline(workload)
+    base = simulate(workload)
     results = {}
     for bound in BOUNDS:
         spec = dataclasses.replace(workload.slices[0], max_iterations=bound)
-        results[bound] = run_with_slices(workload, slices=(spec,))
+        results[bound] = simulate(workload, "slice", slices=(spec,))
     return base, results
 
 

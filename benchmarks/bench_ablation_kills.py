@@ -11,16 +11,16 @@ import dataclasses
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import vpr
 
 
 def _run():
     workload = vpr.build(scale=default_scale())
-    base = run_baseline(workload)
-    with_kills = run_with_slices(workload)
+    base = simulate(workload)
+    with_kills = simulate(workload, "slice")
     no_kill_slice = dataclasses.replace(workload.slices[0], kills=())
-    without_kills = run_with_slices(workload, slices=(no_kill_slice,))
+    without_kills = simulate(workload, "slice", slices=(no_kill_slice,))
     return base, with_kills, without_kills
 
 

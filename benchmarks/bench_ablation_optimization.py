@@ -12,16 +12,16 @@ important" optimization.
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import vpr
 
 
 def _run():
     workload = vpr.build(scale=default_scale())
-    base = run_baseline(workload)
-    optimized = run_with_slices(workload)
-    unoptimized = run_with_slices(
-        workload, slices=(vpr.unoptimized_slice(workload),)
+    base = simulate(workload)
+    optimized = simulate(workload, "slice")
+    unoptimized = simulate(
+        workload, "slice", slices=(vpr.unoptimized_slice(workload),)
     )
     return workload, base, optimized, unoptimized
 

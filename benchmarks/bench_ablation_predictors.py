@@ -11,7 +11,7 @@ under every predictor, and (b) slices beat even the best predictor.
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_with_slices
+from repro.harness.runner import simulate
 from repro.uarch.branch import (
     BimodalPredictor,
     GsharePredictor,
@@ -48,7 +48,7 @@ def _run():
             execs = sum(stats.branch_pcs[pc].executions for pc in problem)
             events = sum(stats.branch_pcs[pc].events for pc in problem)
             rows[pname] = (stats, events / execs if execs else 0.0)
-        assisted = run_with_slices(workload)
+        assisted = simulate(workload, "slice")
         results[name] = (rows, assisted)
     return results
 

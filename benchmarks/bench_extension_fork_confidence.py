@@ -19,7 +19,7 @@ Three scenarios:
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline
+from repro.harness.runner import simulate
 from repro.uarch.confidence import ForkConfidenceEstimator
 from repro.uarch.config import FOUR_WIDE
 from repro.uarch.core import Core
@@ -53,7 +53,7 @@ def _run():
         "crafty": (crafty_wl, crafty_wl.slices),
     }
     for name, (workload, slices) in cases.items():
-        base = run_baseline(workload)
+        base = simulate(workload)
         plain, _ = _run_one(workload, slices, gated=False)
         gated, estimator = _run_one(workload, slices, gated=True)
         rows[name] = (base, plain, gated)

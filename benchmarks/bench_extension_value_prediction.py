@@ -22,16 +22,16 @@ mis-speculation recovery on the wrong ones.
 from conftest import run_once
 
 from repro.harness.experiments import default_scale
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import mcf
 
 
 def _run():
     workload = mcf.build(scale=default_scale())
-    base = run_baseline(workload)
-    pred_only = run_with_slices(workload, slices=(workload.slices[0],))
-    value_pred = run_with_slices(
-        workload, slices=(mcf.value_prediction_slice(workload),)
+    base = simulate(workload)
+    pred_only = simulate(workload, "slice", slices=(workload.slices[0],))
+    value_pred = simulate(
+        workload, "slice", slices=(mcf.value_prediction_slice(workload),)
     )
     return base, pred_only, value_pred
 

@@ -57,7 +57,7 @@ from repro.harness.fastforward import (
     sample_plan,
 )
 from repro.harness.parallel import _apply_override, assemble_windows
-from repro.harness.runner import run_baseline
+from repro.harness.runner import simulate
 from repro.uarch.config import FOUR_WIDE
 from repro.workloads import registry
 
@@ -160,8 +160,9 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
         snapshot, _ = ensure_snapshot(
             workload, config, fast_forward, store=store
         )
-        stats = run_baseline(
-            workload, config, snapshot=snapshot, warmup=warmup, region=region
+        stats = simulate(
+            workload, "base", config,
+            snapshot=snapshot, warmup=warmup, region=region,
         )
         sampled_ipc.append(stats.ipc)
     sampled_s = time.perf_counter() - sampled_start
@@ -172,8 +173,9 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     full_start = time.perf_counter()
     full_ipc = []
     for config in configs:
-        stats = run_baseline(
-            workload, config, warmup=fast_forward + warmup, region=sample
+        stats = simulate(
+            workload, "base", config,
+            warmup=fast_forward + warmup, region=sample,
         )
         full_ipc.append(stats.ipc)
     full_s = time.perf_counter() - full_start
@@ -293,8 +295,8 @@ def bench_sampled_multi_differential(publish, tmp_path, monkeypatch):
 
     def measure(depth):
         snapshot, _hit = next(chain)
-        stats = run_baseline(
-            workload, FOUR_WIDE,
+        stats = simulate(
+            workload,
             snapshot=snapshot, warmup=plan.warmup, region=plan.sample,
         )
         if snapshot is not None:

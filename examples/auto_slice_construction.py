@@ -7,7 +7,7 @@ result against the paper-style hand slice.
 Run:  python examples/auto_slice_construction.py
 """
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.isa import disassemble
 from repro.slices.auto import construct_slice
 from repro.workloads import vpr
@@ -43,9 +43,9 @@ def main() -> None:
           f"live-ins {auto.spec.live_in_regs}):")
     print(disassemble(auto.spec.code))
 
-    base = run_baseline(workload)
-    hand = run_with_slices(workload)
-    auto_run = run_with_slices(workload, slices=(auto.spec,))
+    base = simulate(workload)
+    hand = simulate(workload, "slice")
+    auto_run = simulate(workload, "slice", slices=(auto.spec,))
     print(f"\nbaseline IPC {base.ipc:.2f}")
     print(f"hand slice (Figure 5 style): {hand.ipc / base.ipc - 1:+.1%}")
     print(f"automatically constructed:   {auto_run.ipc / base.ipc - 1:+.1%}")

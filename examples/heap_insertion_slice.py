@@ -8,7 +8,7 @@ then measures what each buys.
 Run:  python examples/heap_insertion_slice.py
 """
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.isa import disassemble
 from repro.workloads import vpr
 
@@ -50,9 +50,9 @@ def main() -> None:
     print("\n" + "=" * 70)
     print("Measured impact")
     print("=" * 70)
-    base = run_baseline(workload)
-    optimized = run_with_slices(workload)
-    unoptimized = run_with_slices(workload, slices=(unopt,))
+    base = simulate(workload)
+    optimized = simulate(workload, "slice")
+    unoptimized = simulate(workload, "slice", slices=(unopt,))
     print(f"baseline IPC:            {base.ipc:.2f}")
     print(f"with optimized slice:    {optimized.ipc:.2f} "
           f"({optimized.ipc / base.ipc - 1:+.1%})")

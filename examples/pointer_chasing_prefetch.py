@@ -14,7 +14,7 @@ division of labor between the two slices the workload ships:
 Run:  python examples/pointer_chasing_prefetch.py
 """
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import mcf
 
 
@@ -22,10 +22,10 @@ def main() -> None:
     workload = mcf.build(scale=0.4)
     pred_slice, background_slice = workload.slices
 
-    base = run_baseline(workload)
-    pred_only = run_with_slices(workload, slices=(pred_slice,))
-    background_only = run_with_slices(workload, slices=(background_slice,))
-    both = run_with_slices(workload)
+    base = simulate(workload)
+    pred_only = simulate(workload, "slice", slices=(pred_slice,))
+    background_only = simulate(workload, "slice", slices=(background_slice,))
+    both = simulate(workload, "slice")
 
     print(f"{'configuration':<28s}{'IPC':>6s}{'speedup':>9s}"
           f"{'load misses':>13s}{'mispredicts':>13s}")

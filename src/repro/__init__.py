@@ -19,12 +19,7 @@ The package is layered bottom-up:
 __version__ = "1.0.0"
 
 # Convenience top-level API: the pieces a downstream user starts from.
-from repro.harness.runner import (  # noqa: E402
-    run_baseline,
-    run_perfect_sweep,
-    run_triple,
-    run_with_slices,
-)
+from repro.harness.runner import simulate  # noqa: E402
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE  # noqa: E402
 from repro.uarch.core import Core  # noqa: E402
 
@@ -32,8 +27,5 @@ __all__ = [
     "Core",
     "EIGHT_WIDE",
     "FOUR_WIDE",
-    "run_baseline",
-    "run_perfect_sweep",
-    "run_triple",
-    "run_with_slices",
+    "simulate",
 ]

@@ -13,11 +13,7 @@ from repro.harness.runner import (
     PerfectSweepResult,
     TripleResult,
     covered_problem_spec,
-    run_baseline,
-    run_perfect,
-    run_perfect_sweep,
-    run_triple,
-    run_with_slices,
+    simulate,
 )
 
 __all__ = [
@@ -32,9 +28,5 @@ __all__ = [
     "covered_problem_spec",
     "execute_request",
     "run_matrix",
-    "run_baseline",
-    "run_perfect",
-    "run_perfect_sweep",
-    "run_triple",
-    "run_with_slices",
+    "simulate",
 ]

@@ -824,6 +824,19 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.experiment != "all":
+        # `all` runs the sampled experiments sampled and the rest as
+        # usual; a single experiment must not silently drop the flags.
+        if args.sampled and args.experiment not in _SAMPLED_EXPERIMENTS:
+            print(
+                f"--sampled applies only to {sorted(_SAMPLED_EXPERIMENTS)}, "
+                f"not {args.experiment!r}",
+                file=sys.stderr,
+            )
+            return 2
+        if args.horizon is not None and not args.sampled:
+            print("--horizon needs --sampled", file=sys.stderr)
+            return 2
     from repro.service.store import ContentStore
 
     # A ContentStore as the run cache: run_matrix flushes the

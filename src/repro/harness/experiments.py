@@ -25,13 +25,8 @@ from repro.analysis.characterize import characterize_run, characterize_slice
 from repro.analysis.problem import classify_problem_instructions
 from repro.harness import report
 from repro.harness.cache import RunCache
-from repro.harness.parallel import CONFIG_PRESETS, RunRequest, run_matrix
-from repro.harness.runner import (
-    PerfectSweepResult,
-    TripleResult,
-    run_perfect_sweep,
-    run_triple,
-)
+from repro.harness.parallel import RunRequest, preset_name, run_matrix
+from repro.harness.runner import PerfectSweepResult, TripleResult
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.workloads import registry
 from repro.workloads.registry import WorkloadRef
@@ -144,25 +139,6 @@ def sampled_plan(
     }
 
 
-def _is_preset(config: MachineConfig) -> bool:
-    """A request can only name a preset; modified configs run directly."""
-    return CONFIG_PRESETS.get(config.name) == config
-
-
-def _check_sampled_config(
-    config: MachineConfig, sampled: bool, experiment: str
-) -> None:
-    """Refuse a sampled run on a modified config: sampling plans travel
-    only in a :class:`RunRequest`, and the direct fallback for modified
-    configs runs full detail at ``scale``, so it would ignore them."""
-    if sampled and not _is_preset(config):
-        raise ValueError(
-            f"cannot run {experiment} sampled on config {config.name!r}: "
-            f"sampled runs need an unmodified preset config "
-            f"({tuple(CONFIG_PRESETS)})"
-        )
-
-
 #: Scale of the one build per workload that Table 4 counts covered
 #: branch PCs from. Slice PCs do not depend on scale (pinned by
 #: ``tests/harness/test_experiments.py``), and a build this small takes
@@ -227,7 +203,8 @@ def experiment_figure1(
 
     Two matrix phases: the baselines run first (they feed the problem-
     instruction profiler), then the per-instruction-perfect and
-    all-perfect overlays run from the profiled PC sets.
+    all-perfect overlays run from the profiled PC sets. A modified
+    (non-preset) config raises ``ValueError``.
     """
     scale = scale if scale is not None else default_scale()
     pairs = [
@@ -235,16 +212,14 @@ def experiment_figure1(
         for name in registry.all_names()
         for config in configs
     ]
-    if not all(_is_preset(config) for _name, config in pairs):
-        results = [
-            run_perfect_sweep(registry.build(name, scale), config)
-            for name, config in pairs
-        ]
-        return results, report.render_figure1(results)
-
     base_stats = run_matrix(
         [
-            RunRequest(name, scale, mode="base", config=config.name)
+            RunRequest(
+                name,
+                scale,
+                mode="base",
+                config=preset_name(config, "Figure 1"),
+            )
             for name, config in pairs
         ],
         jobs=jobs,
@@ -318,25 +293,18 @@ def experiment_figure11(
     global full-detail ``scale``. All three modes of a workload share
     one warmed snapshot chain (prebuilt in parallel by ``run_matrix``),
     and speedups gain per-region confidence intervals. A modified
-    (non-preset) config runs directly in full detail at ``scale``, so
-    asking for it sampled raises ``ValueError``.
+    (non-preset) config raises ``ValueError``.
     """
     scale = scale if scale is not None else default_scale()
-    _check_sampled_config(config, sampled, "Figure 11")
+    preset = preset_name(config, "Figure 11")
     names = registry.all_names()
-    if not _is_preset(config):
-        results = [
-            run_triple(registry.build(name, scale), config) for name in names
-        ]
-        return results, report.render_figure11(results)
-
     plans = (
         {name: sampled_plan(name, horizon) for name in names}
         if sampled
         else {name: {"scale": scale} for name in names}
     )
     requests = [
-        RunRequest(name, mode=mode, config=config.name, **plans[name])
+        RunRequest(name, mode=mode, config=preset, **plans[name])
         for name in names
         for mode in ("base", "slice", "limit")
     ]
@@ -367,37 +335,25 @@ def experiment_table4(
 
     ``sampled=True`` switches to per-workload long-horizon plans (see
     :func:`experiment_figure11`); base and slice arms share one chain.
+    A modified (non-preset) config raises ``ValueError``.
     """
     scale = scale if scale is not None else default_scale()
-    _check_sampled_config(config, sampled, "Table 4")
-    if _is_preset(config):
-        plans = (
-            {name: sampled_plan(name, horizon) for name in benchmarks}
-            if sampled
-            else {name: {"scale": scale} for name in benchmarks}
-        )
-        requests = [
-            RunRequest(name, mode=mode, config=config.name, **plans[name])
-            for name in benchmarks
-            for mode in ("base", "slice")
-        ]
-        stats = run_matrix(requests, jobs=jobs, cache=cache)
-        pair_of = {
-            name: (stats[2 * i], stats[2 * i + 1])
-            for i, name in enumerate(benchmarks)
-        }
-    else:
-        from repro.harness.runner import run_baseline, run_with_slices
-
-        pair_of = {}
-        for name in benchmarks:
-            workload = registry.build(name, scale)
-            pair_of[name] = (
-                run_baseline(workload, config),
-                run_with_slices(workload, config),
-            )
-    rows = [
-        characterize_run(name, *pair_of[name], _covered_branch_count(name))
+    preset = preset_name(config, "Table 4")
+    plans = (
+        {name: sampled_plan(name, horizon) for name in benchmarks}
+        if sampled
+        else {name: {"scale": scale} for name in benchmarks}
+    )
+    requests = [
+        RunRequest(name, mode=mode, config=preset, **plans[name])
         for name in benchmarks
+        for mode in ("base", "slice")
+    ]
+    stats = run_matrix(requests, jobs=jobs, cache=cache)
+    rows = [
+        characterize_run(
+            name, stats[2 * i], stats[2 * i + 1], _covered_branch_count(name)
+        )
+        for i, name in enumerate(benchmarks)
     ]
     return rows, report.render_table4(rows)

@@ -72,15 +72,6 @@ def _default_event_driven() -> bool:
     return not os.environ.get("REPRO_NO_SKIP")
 
 
-def _default_fused_blocks() -> bool:
-    """Request default for the fused basic-block execution tier.
-
-    ``REPRO_NO_FUSE`` (set by the ``--no-fuse`` CLI flag) flips the
-    default to the per-instruction tier for differential testing.
-    """
-    return not os.environ.get("REPRO_NO_FUSE")
-
-
 def _default_fast_forward() -> int:
     """Request default for the functional fast-forward prefix length.
 
@@ -119,7 +110,9 @@ def _default_sample_period() -> int:
 
 
 from repro.harness.cache import RunCache
+from repro.harness.runner import MODES, simulate
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
+from repro.uarch.fusion import fusion_default
 from repro.uarch.perfect import PerfectSpec
 from repro.uarch.stats import RunStats
 from repro.workloads import registry
@@ -130,8 +123,19 @@ CONFIG_PRESETS: dict[str, MachineConfig] = {
     EIGHT_WIDE.name: EIGHT_WIDE,
 }
 
-#: Run modes (mirroring the Section 6 experiment arms).
-MODES = ("base", "slice", "limit", "perfect")
+
+def preset_name(config: MachineConfig, what: str) -> str:
+    """The :data:`CONFIG_PRESETS` name of *config*, which must be an
+    unmodified preset. A request names its config, so running *what*
+    on a modified one would silently run the same-named preset: it is
+    refused by name instead."""
+    if CONFIG_PRESETS.get(config.name) != config:
+        raise ValueError(
+            f"cannot run {what} on config {config.name!r}: it needs an "
+            f"unmodified preset config ({tuple(CONFIG_PRESETS)})"
+        )
+    return config.name
+
 
 #: ``on_error`` policies for requests that exhaust their retries.
 ON_ERROR_POLICIES = ("raise", "skip")
@@ -171,7 +175,7 @@ class RunRequest:
     #: Fused basic-block execution tier. Stats are identical either way
     #: (bar the fusion meta counters), but fingerprinted separately so
     #: cached ``blocks_compiled`` / ``block_deopts`` stay honest.
-    fused_blocks: bool = field(default_factory=_default_fused_blocks)
+    fused_blocks: bool = field(default_factory=fusion_default)
     #: Sampled simulation (:mod:`repro.harness.fastforward`): execute
     #: this many instructions on the functional fast-forward tier (with
     #: functional warming), restoring the detailed core from the warmed
@@ -237,6 +241,18 @@ class RunRequest:
             config = _apply_override(config, path, value)
         return config
 
+    def resolve_perfect(self) -> PerfectSpec | None:
+        """The perfect overlay of a ``perfect`` request; ``None`` for
+        every other mode."""
+        if self.mode != "perfect":
+            return None
+        return PerfectSpec(
+            branch_pcs=frozenset(self.perfect_branch_pcs),
+            load_pcs=frozenset(self.perfect_load_pcs),
+            all_branches=self.all_branches,
+            all_loads=self.all_loads,
+        )
+
 
 def _apply_override(config, path: str, value):
     """Replace the (possibly nested) field at dotted *path*."""
@@ -244,64 +260,6 @@ def _apply_override(config, path: str, value):
     if rest:
         value = _apply_override(getattr(config, head), rest, value)
     return dataclasses.replace(config, **{head: value})
-
-
-def _dispatch_mode(
-    request: RunRequest, workload, config, snapshot, warmup, region
-) -> RunStats:
-    """Run one detailed window of *request*'s mode.
-
-    Shared by the legacy single-window path and each window of a
-    multi-region run. The ``snapshot is None, warmup == 0,
-    region is None`` combination constructs the Core exactly as a
-    full-detail run (bit-identical stats discipline).
-    """
-    from repro.harness.runner import (
-        covered_problem_spec,
-        run_baseline,
-        run_perfect,
-        run_with_slices,
-    )
-
-    mode = request.mode
-    event_driven = request.event_driven
-    fused_blocks = request.fused_blocks
-    sampled = dict(snapshot=snapshot, warmup=warmup or 0, region=region)
-
-    if mode == "base":
-        return run_baseline(
-            workload, config, event_driven=event_driven,
-            fused_blocks=fused_blocks, **sampled,
-        )
-    if mode == "slice":
-        return run_with_slices(
-            workload,
-            config,
-            dedicated=request.dedicated,
-            event_driven=event_driven,
-            fused_blocks=fused_blocks,
-            **sampled,
-        )
-    if mode == "limit":
-        return run_perfect(
-            workload,
-            covered_problem_spec(workload),
-            config,
-            event_driven=event_driven,
-            fused_blocks=fused_blocks,
-            **sampled,
-        )
-    # mode == "perfect"
-    spec = PerfectSpec(
-        branch_pcs=frozenset(request.perfect_branch_pcs),
-        load_pcs=frozenset(request.perfect_load_pcs),
-        all_branches=request.all_branches,
-        all_loads=request.all_loads,
-    )
-    return run_perfect(
-        workload, spec, config, event_driven=event_driven,
-        fused_blocks=fused_blocks, **sampled,
-    )
 
 
 def assemble_windows(depths, measure) -> RunStats | None:
@@ -335,11 +293,12 @@ def assemble_windows(depths, measure) -> RunStats | None:
 
 
 def _execute_multi_region(
-    request: RunRequest, workload, config, snapshots
+    request: RunRequest, workload, config, snapshots, run
 ) -> RunStats:
     """Multi-region sampled execution: one detailed window per chain
-    member, aggregated into a whole-run estimate with a confidence
-    interval.
+    member, each measured by *run* (:func:`simulate` bound to the
+    request's workload, config and arm), aggregated into a whole-run
+    estimate with a confidence interval.
 
     Consumes :func:`~repro.harness.fastforward.iter_chain` as a
     stream — each window's snapshot is restored, measured, and
@@ -355,9 +314,7 @@ def _execute_multi_region(
 
     def measure(depth: int) -> RunStats:
         snapshot, hit = next(chain)
-        stats = _dispatch_mode(
-            request, workload, config, snapshot, plan.warmup, plan.sample
-        )
+        stats = run(snapshot=snapshot, warmup=plan.warmup, region=plan.sample)
         if snapshot is not None:
             stats.ff_insts = snapshot.executed
             stats.snapshot_hit = hit
@@ -399,17 +356,29 @@ def execute_request(request: RunRequest, snapshots=None) -> RunStats:
     pickle it."""
     workload = shared_workload(request.workload, request.scale)
     config = request.resolve_config()
+    run = functools.partial(
+        simulate,
+        workload,
+        request.mode,
+        config,
+        perfect=request.resolve_perfect(),
+        dedicated=request.dedicated,
+        event_driven=request.event_driven,
+        fused_blocks=request.fused_blocks,
+    )
 
     if request.sample_regions >= 2:
-        return _execute_multi_region(request, workload, config, snapshots)
+        return _execute_multi_region(
+            request, workload, config, snapshots, run
+        )
 
     # Single-window sampled run: fetch (or build) the warmed snapshot
     # and translate the sample length into the region + discard-window
     # pair. The fast_forward == sample == 0 path must construct the
-    # Core exactly as before (bit-identical stats discipline).
+    # Core exactly as a direct simulate() call (bit-identical stats).
     snapshot = None
     snapshot_hit = False
-    region = warmup = None
+    region, warmup = None, 0
     if request.fast_forward > 0 or request.sample > 0:
         from repro.harness.fastforward import ensure_snapshot, sample_plan
 
@@ -418,9 +387,7 @@ def execute_request(request: RunRequest, snapshots=None) -> RunStats:
             snapshot, snapshot_hit = ensure_snapshot(
                 workload, config, request.fast_forward, store=snapshots
             )
-    stats = _dispatch_mode(
-        request, workload, config, snapshot, warmup, region
-    )
+    stats = run(snapshot=snapshot, warmup=warmup, region=region)
     if snapshot is not None:
         stats.ff_insts = snapshot.executed
         stats.snapshot_hit = snapshot_hit

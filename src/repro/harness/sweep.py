@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness.cache import RunCache
-from repro.harness.parallel import CONFIG_PRESETS, RunRequest, run_matrix
+from repro.harness.parallel import RunRequest, preset_name, run_matrix
 from repro.uarch.config import FOUR_WIDE, MachineConfig
-from repro.uarch.stats import RunStats, mean_ci95
+from repro.uarch.stats import RunStats, paired_speedup_ci95
 from repro.workloads import registry
 from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
@@ -37,19 +37,6 @@ class SweepPoint:
     base: RunStats
     assisted: RunStats
 
-    def region_speedups(self) -> list[float]:
-        """Per-region slice speedups of a multi-region point.
-
-        Base and assisted windows are *paired* (same chain, same
-        depths), so the per-region ratio is the natural sample for the
-        speedup's confidence interval."""
-        base = self.base.region_ipcs
-        assisted = self.assisted.region_ipcs
-        n = min(len(base), len(assisted))
-        return [
-            assisted[k] / base[k] - 1.0 for k in range(n) if base[k]
-        ]
-
     @property
     def speedup(self) -> float:
         return self.assisted.ipc / self.base.ipc - 1.0
@@ -58,10 +45,7 @@ class SweepPoint:
     def speedup_ci95(self) -> float:
         """95% confidence half-width on the mean per-region speedup
         (0.0 for full-detail and single-window points)."""
-        ratios = self.region_speedups()
-        if len(ratios) < 2:
-            return 0.0
-        return mean_ci95(ratios)[1]
+        return paired_speedup_ci95(self.base, self.assisted)
 
 
 def _sweep(
@@ -84,17 +68,14 @@ def _sweep(
     warming-relevant sub-configs, so the architectural prefix is paid
     once for the whole sweep (``run_matrix`` pre-builds it).
     """
-    if (
-        workload.name not in registry.WORKLOAD_BUILDERS
-        or CONFIG_PRESETS.get(config.name) != config
-    ):
-        # A request names its workload and preset; anything else would
-        # silently run the registry build or the same-named preset.
+    if workload.name not in registry.WORKLOAD_BUILDERS:
+        # A request names its workload; anything else would silently
+        # run the registry build.
         raise ValueError(
-            f"cannot sweep workload {workload.name!r} on config "
-            f"{config.name!r}: sweeps need a registered workload and an "
-            f"unmodified preset config ({tuple(CONFIG_PRESETS)})"
+            f"cannot sweep workload {workload.name!r}: sweeps need a "
+            f"registered workload"
         )
+    preset = preset_name(config, "a sweep")
     requests = []
     for value in values:
         overrides = ((override_path, value),)
@@ -104,7 +85,7 @@ def _sweep(
                     workload=workload.name,
                     scale=workload.scale,
                     mode=mode,
-                    config=config.name,
+                    config=preset,
                     overrides=overrides,
                     fast_forward=fast_forward,
                     sample=sample,

@@ -74,6 +74,20 @@ def mean_ci95(samples) -> tuple[float, float]:
     return mean, t95(n - 1) * math.sqrt(variance / n)
 
 
+def paired_speedup_ci95(base: RunStats, assisted: RunStats) -> float:
+    """95% confidence half-width on the mean speedup of *assisted* over
+    *base*, two multi-region runs with paired windows (same chain, same
+    depths). The samples are the per-region ratios
+    ``assisted[k] / base[k] - 1``; below two of them (full-detail and
+    single-window runs) the half-width is 0.0."""
+    ratios = [
+        a / b - 1.0
+        for b, a in zip(base.region_ipcs, assisted.region_ipcs)
+        if b
+    ]
+    return mean_ci95(ratios)[1]
+
+
 @dataclass
 class PcCounter:
     """Executions and performance-degrading events for one static PC."""

@@ -73,6 +73,54 @@ def test_sampled_flag_reaches_experiment(monkeypatch):
     assert seen == {"sampled": True, "horizon": 250_000}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["figure1", "--sampled"], "--sampled"),
+        (["table2", "--sampled"], "--sampled"),
+        (["figure11", "--horizon", "30000"], "--horizon"),
+        (["table4", "--horizon", "30000"], "--horizon"),
+    ],
+    ids=["figure1-sampled", "table2-sampled", "figure11-horizon",
+         "table4-horizon"],
+)
+def test_dropped_sampling_flags_exit_2(argv, message, monkeypatch, capsys):
+    """A single experiment that would ignore --sampled or --horizon
+    refuses them with a one-line error instead of running full detail."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, argv[0], must_not_run)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_all_keeps_sampled_for_the_sampled_experiments(
+    monkeypatch, tmp_path
+):
+    """`repro all --sampled` runs the sampled experiments sampled and the
+    rest as usual."""
+    seen = {}
+
+    def stub(name):
+        def run(scale=None, jobs=None, cache=None, sampled=False,
+                horizon=None):
+            seen[name] = sampled
+            return [], name
+
+        return run
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    for name in EXPERIMENTS:
+        if name != "table1":
+            monkeypatch.setitem(EXPERIMENTS, name, stub(name))
+    assert main(["all", "--sampled", "--no-cache"]) == 0
+    assert seen.pop("figure11") is True and seen.pop("table4") is True
+    assert seen and not any(seen.values())
+
+
 def test_parser_rejects_unknown_on_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["table4", "--on-error", "explode"])

@@ -226,16 +226,28 @@ def test_rendering_builds_no_workloads(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "experiment",
-    [experiments.experiment_figure11, experiments.experiment_table4],
+    [
+        experiments.experiment_figure1,
+        experiments.experiment_figure11,
+        experiments.experiment_table4,
+    ],
 )
-def test_sampled_run_refuses_a_modified_config(experiment):
-    """Sampling plans travel only in a RunRequest, which names a preset:
-    a sampled run on a modified config is refused by name rather than
-    silently run in full detail at ``scale``."""
+def test_sampled_run_refuses_a_modified_config(experiment, monkeypatch):
+    """A request names a preset, so an experiment on a modified config
+    is refused by name, sampled or not, rather than silently run on
+    the same-named preset or in full detail at ``scale``. Nothing is
+    simulated first."""
     import dataclasses
 
+    monkeypatch.setattr(experiments, "run_matrix", None)
     tweaked = dataclasses.replace(FOUR_WIDE, memory_latency=999)
-    with pytest.raises(ValueError, match=f"config {FOUR_WIDE.name!r}"):
-        experiment(
-            scale=0.01, config=tweaked, sampled=True, horizon=30_000, jobs=1
-        )
+    if experiment is experiments.experiment_figure1:
+        calls = [dict(configs=(FOUR_WIDE, tweaked))]
+    else:
+        calls = [
+            dict(config=tweaked),
+            dict(config=tweaked, sampled=True, horizon=30_000),
+        ]
+    for kwargs in calls:
+        with pytest.raises(ValueError, match=f"config {FOUR_WIDE.name!r}"):
+            experiment(scale=0.01, jobs=1, **kwargs)

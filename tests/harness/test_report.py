@@ -80,9 +80,9 @@ def test_render_table4_columns():
 def test_render_figure11_bars():
     from repro.harness.runner import TripleResult
     from repro.uarch.stats import RunStats
-    from repro.workloads import registry
+    from repro.workloads.registry import WorkloadRef
 
-    workload = registry.build("vpr", scale=0.05)
+    workload = WorkloadRef("vpr", 0.05)
     base = RunStats(cycles=100, committed=100)
     assisted = RunStats(cycles=80, committed=100)
     limit = RunStats(cycles=50, committed=100)
@@ -93,17 +93,18 @@ def test_render_figure11_bars():
 
 
 def test_render_figure1_stacked_bars():
+    from repro.analysis.problem import ProblemClassification
     from repro.harness.runner import PerfectSweepResult
     from repro.uarch.stats import RunStats
-    from repro.workloads import registry
+    from repro.workloads.registry import WorkloadRef
 
-    workload = registry.build("vpr", scale=0.05)
     result = PerfectSweepResult(
-        workload=workload,
+        workload=WorkloadRef("vpr", 0.05),
         config=FOUR_WIDE,
         base=RunStats(cycles=100, committed=100),
         problem_perfect=RunStats(cycles=50, committed=100),
         all_perfect=RunStats(cycles=40, committed=100),
+        classification=ProblemClassification(frozenset(), frozenset()),
     )
     text = report.render_figure1([result])
     assert "vpr" in text and "4-wide" in text

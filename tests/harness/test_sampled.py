@@ -32,10 +32,11 @@ from repro.harness.fastforward import (
     snapshot_fingerprint,
 )
 from repro.harness.parallel import RunRequest, execute_request, run_matrix
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import MODES, simulate
 from repro.harness.sweep import sweep_memory_latency
 from repro.uarch.config import FOUR_WIDE
 from repro.uarch.core import Core
+from repro.uarch.perfect import problem_perfect
 from repro.uarch.stats import (
     RunStats,
     aggregate_stats,
@@ -58,19 +59,41 @@ def cache_env(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def _ff_zero_arms(workload):
+    """``(mode, request fields, simulate() keywords)`` for every mode;
+    the perfect arm idealizes the workload's annotated problem set."""
+    branches = tuple(workload.problem_branch_pcs)
+    loads = tuple(workload.problem_load_pcs)
+    perfect = problem_perfect(branches, loads)
+    return [
+        ("base", {}, {}),
+        ("slice", {}, {}),
+        ("limit", {}, {}),
+        (
+            "perfect",
+            dict(perfect_branch_pcs=branches, perfect_load_pcs=loads),
+            dict(perfect=perfect),
+        ),
+    ]
+
+
 @pytest.mark.parametrize("workload_name", sorted(registry.WORKLOAD_BUILDERS))
 def test_ff_zero_bit_identical(workload_name):
-    """An unsampled RunRequest reproduces the direct runner exactly —
-    every stat, both modes, every workload."""
-    # One workload for both modes: segment heat is per Core, so a
+    """An unsampled RunRequest reproduces a direct simulate() call
+    exactly — every stat, every mode, every workload."""
+    # One workload for all modes: segment heat is per Core, so a
     # shared Program's warm segment cache must not move the counters.
     workload = registry.build(workload_name, scale=0.05)
-    for mode, runner in (("base", run_baseline), ("slice", run_with_slices)):
+    arms = _ff_zero_arms(workload)
+    assert tuple(mode for mode, _fields, _kwargs in arms) == MODES
+    for mode, fields, kwargs in arms:
         request = RunRequest(
             workload=workload_name, scale=0.05, mode=mode,
-            fast_forward=0, sample=0,
+            fast_forward=0, sample=0, **fields,
         )
-        assert execute_request(request) == runner(workload, FOUR_WIDE)
+        assert execute_request(request) == simulate(
+            workload, mode, FOUR_WIDE, **kwargs
+        )
 
 
 def test_request_rejects_negative_sampling():
@@ -161,30 +184,30 @@ def test_restore_then_run_matches_straight_through():
     assert resumed.memory.snapshot() == straight.memory.snapshot()
 
 
-@pytest.mark.parametrize("runner", [run_baseline, run_with_slices])
-def test_restore_into_warm_program_matches_fresh_program(runner):
+@pytest.mark.parametrize("mode", ["base", "slice"])
+def test_restore_into_warm_program_matches_fresh_program(mode):
     """Fused segments compiled by a cold-image Core stay in the
     Program's cache across a snapshot restore, and reusing them changes
     nothing: the restored run equals a restore into a freshly built
     Program in every field, meta included, and the per-instruction
     tier in every architectural one."""
     warm = registry.build("gzip", scale=0.05)
-    runner(warm, FOUR_WIDE)
+    simulate(warm, mode, FOUR_WIDE)
     compiled_cold = set(warm.program._segment_cache)
     assert compiled_cold
 
     snap = fast_forward(warm, FOUR_WIDE, 500)
     sampled = dict(snapshot=snap, warmup=200, region=1_000)
-    reused = runner(warm, FOUR_WIDE, **sampled)
+    reused = simulate(warm, mode, FOUR_WIDE, **sampled)
     fresh = registry.build("gzip", scale=0.05)
-    restored = runner(fresh, FOUR_WIDE, **sampled)
+    restored = simulate(fresh, mode, FOUR_WIDE, **sampled)
     assert dataclasses.asdict(reused) == dataclasses.asdict(restored)
     assert reused.blocks_compiled > 0
     # The restored run installed segments the cold run had compiled.
     assert compiled_cold & set(fresh.program._segment_cache)
 
-    unfused = runner(
-        registry.build("gzip", scale=0.05), FOUR_WIDE,
+    unfused = simulate(
+        registry.build("gzip", scale=0.05), mode, FOUR_WIDE,
         fused_blocks=False, **sampled,
     )
     assert stats_digest(reused) == stats_digest(unfused)
@@ -331,12 +354,10 @@ def test_sampled_ipc_tracks_full_detail(cache_env):
     ff, sample = 5_000, 1_000
     region, warmup = sample_plan(sample)
     snap, _ = ensure_snapshot(workload, FOUR_WIDE, ff)
-    sampled = run_baseline(
-        workload, FOUR_WIDE, snapshot=snap, warmup=warmup, region=region
+    sampled = simulate(
+        workload, snapshot=snap, warmup=warmup, region=region
     )
-    full = run_baseline(
-        workload, FOUR_WIDE, warmup=ff + warmup, region=sample
-    )
+    full = simulate(workload, warmup=ff + warmup, region=sample)
     assert sampled.committed == full.committed == sample
     assert abs(sampled.ipc - full.ipc) / full.ipc < 0.02
 

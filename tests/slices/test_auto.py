@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.slices.auto import (
     SliceConstructionError,
     construct_slice,
@@ -71,9 +71,9 @@ def test_auto_slice_covers_the_problem_instructions(vpr_workload, vpr_auto):
 
 
 def test_auto_slice_is_competitive_with_hand_slice(vpr_workload, vpr_auto):
-    base = run_baseline(vpr_workload)
-    hand = run_with_slices(vpr_workload)
-    auto = run_with_slices(vpr_workload, slices=(vpr_auto.spec,))
+    base = simulate(vpr_workload)
+    hand = simulate(vpr_workload, "slice")
+    auto = simulate(vpr_workload, "slice", slices=(vpr_auto.spec,))
     hand_speedup = hand.ipc / base.ipc - 1
     auto_speedup = auto.ipc / base.ipc - 1
     assert auto_speedup > 0.10
@@ -92,8 +92,8 @@ def test_auto_slice_for_gzip_match_loop():
     auto = construct_slice(workload, branch_pc, fork_pc, name="gzip_auto")
     assert auto.spec.pgis[0].branch_pc == branch_pc
     assert auto.spec.max_iterations is not None  # found the cmp loop
-    base = run_baseline(workload)
-    auto_run = run_with_slices(workload, slices=(auto.spec,))
+    base = simulate(workload)
+    auto_run = simulate(workload, "slice", slices=(auto.spec,))
     assert auto_run.ipc > base.ipc
 
 
@@ -107,8 +107,8 @@ def test_auto_slice_on_twolf_constructs_but_may_not_profit():
     fork_pc = workload.slices[0].fork_pc
     auto = construct_slice(workload, branch_pc, fork_pc, name="twolf_auto")
     assert auto.spec.pgis[0].branch_pc == branch_pc
-    base = run_baseline(workload)
-    auto_run = run_with_slices(workload, slices=(auto.spec,))
+    base = simulate(workload)
+    auto_run = simulate(workload, "slice", slices=(auto.spec,))
     assert auto_run.ipc > base.ipc * 0.85
 
 

@@ -13,7 +13,7 @@ Goldens were captured at scale 0.1 on the 4-wide machine.
 
 import pytest
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import registry
 
 SCALE = 0.1
@@ -59,8 +59,8 @@ def measured(request):
     workload = registry.build(request.param, SCALE)
     return (
         request.param,
-        run_baseline(workload),
-        run_with_slices(workload),
+        simulate(workload),
+        simulate(workload, "slice"),
     )
 
 

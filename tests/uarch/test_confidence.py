@@ -1,6 +1,6 @@
 """Tests for the confidence-gated forking extension."""
 
-from repro.harness.runner import run_baseline
+from repro.harness.runner import simulate
 from repro.uarch.confidence import ForkConfidenceEstimator
 from repro.uarch.config import FOUR_WIDE
 from repro.uarch.core import Core
@@ -51,7 +51,7 @@ def test_useful_slice_is_not_gated():
     estimator = ForkConfidenceEstimator()
     stats = _run(workload, workload.slices, estimator)
     assert stats.forks_gated <= stats.forks_taken * 0.05
-    base = run_baseline(workload)
+    base = simulate(workload)
     assert stats.ipc > base.ipc * 1.1
 
 

@@ -178,10 +178,10 @@ def test_fuse_disabled_via_none_lets_the_run_finish_slowly(program_and_fork):
 
 def test_well_behaved_slices_never_hit_the_fuse():
     """Real workload slices stay far under the default fuse."""
-    from repro.harness.runner import run_with_slices
+    from repro.harness.runner import simulate
     from repro.workloads import registry
 
-    stats = run_with_slices(registry.build("vpr", scale=0.05))
+    stats = simulate(registry.build("vpr", scale=0.05), "slice")
     assert stats.slices_killed_fuse == 0
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.uarch.config import FOUR_WIDE
 from repro.workloads import registry, vpr
 
@@ -16,7 +16,7 @@ def vpr_small():
 
 @pytest.fixture(scope="module")
 def vpr_runs(vpr_small):
-    return run_baseline(vpr_small), run_with_slices(vpr_small)
+    return simulate(vpr_small), simulate(vpr_small, "slice")
 
 
 def test_slices_speed_up_vpr(vpr_runs):
@@ -96,20 +96,20 @@ def test_architectural_state_identical_with_and_without_slices(vpr_small):
 def test_two_contexts_force_ignored_forks():
     workload = registry.build("mcf", scale=0.2)  # ships two slices
     config = dataclasses.replace(FOUR_WIDE, thread_contexts=2)
-    assisted = run_with_slices(workload, config)
+    assisted = simulate(workload, "slice", config)
     assert assisted.forks_ignored > 0
 
 
 def test_dedicated_resources_do_not_regress(vpr_small):
-    shared = run_with_slices(vpr_small)
-    dedicated = run_with_slices(vpr_small, dedicated=True)
+    shared = simulate(vpr_small, "slice")
+    dedicated = simulate(vpr_small, "slice", dedicated=True)
     assert dedicated.ipc >= shared.ipc * 0.98
 
 
 def test_late_predictions_trigger_early_resolution():
     """mcf's slice runs behind: late mismatches must early-resolve."""
     workload = registry.build("mcf", scale=0.2)
-    assisted = run_with_slices(workload)
+    assisted = simulate(workload, "slice")
     assert assisted.correlator.late_predictions > 0
     assert assisted.early_resolutions > 0
 
@@ -117,15 +117,15 @@ def test_late_predictions_trigger_early_resolution():
 def test_eight_wide_also_benefits(vpr_small):
     from repro.uarch.config import EIGHT_WIDE
 
-    base = run_baseline(vpr_small, EIGHT_WIDE)
-    assisted = run_with_slices(vpr_small, EIGHT_WIDE)
+    base = simulate(vpr_small, "base", EIGHT_WIDE)
+    assisted = simulate(vpr_small, "slice", EIGHT_WIDE)
     assert assisted.ipc > base.ipc
 
 
 def test_parser_without_slices_equals_baseline():
     workload = registry.build("parser", scale=0.1)
     assert workload.slices == ()
-    base = run_baseline(workload)
-    assisted = run_with_slices(workload)
+    base = simulate(workload)
+    assisted = simulate(workload, "slice")
     assert assisted.cycles == base.cycles
     assert assisted.slice_fetched == 0

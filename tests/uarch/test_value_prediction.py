@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import mcf
 
 
@@ -10,8 +10,8 @@ from repro.workloads import mcf
 def runs():
     workload = mcf.build(scale=0.2)
     vp_slice = mcf.value_prediction_slice(workload)
-    base = run_baseline(workload)
-    assisted = run_with_slices(workload, slices=(vp_slice,))
+    base = simulate(workload)
+    assisted = simulate(workload, "slice", slices=(vp_slice,))
     return workload, base, assisted
 
 
@@ -67,10 +67,10 @@ def test_correct_value_prediction_hides_latency():
     L1 latency even when the line misses."""
     workload = mcf.build(scale=0.2)
     vp_slice = mcf.value_prediction_slice(workload)
-    assisted = run_with_slices(workload, slices=(vp_slice,))
+    assisted = simulate(workload, "slice", slices=(vp_slice,))
     # Covered loads that bound correctly are not counted as misses, so
     # per-PC miss rates at covered loads drop vs baseline.
-    base = run_baseline(workload)
+    base = simulate(workload)
     covered = {
         pgi.branch_pc
         for pgi in vp_slice.pgis

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import Memory, ThreadState, run_functional
-from repro.harness.runner import run_baseline, run_with_slices
+from repro.harness.runner import simulate
 from repro.workloads import vpr_full
 
 
@@ -41,8 +41,8 @@ def test_pops_return_nondecreasing_costs_eventually(workload):
 
 
 def test_two_slices_cooperate(workload):
-    base = run_baseline(workload)
-    assisted = run_with_slices(workload)
+    base = simulate(workload)
+    assisted = simulate(workload, "slice")
     assert assisted.ipc > base.ipc
     c = assisted.correlator
     judged = c.correct_overrides + c.incorrect_overrides
