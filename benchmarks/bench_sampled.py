@@ -50,13 +50,16 @@ from bench_simulator_throughput import _merge_results
 from repro.harness.bench import REGIMES, best_rate
 from repro.harness.fastforward import (
     SnapshotStore,
-    build_sample_plan,
+    detail_warmup,
     ensure_snapshot,
     iter_chain,
     list_snapshots,
-    sample_plan,
 )
-from repro.harness.parallel import _apply_override, assemble_windows
+from repro.harness.parallel import (
+    RunRequest,
+    _apply_override,
+    assemble_windows,
+)
 from repro.harness.runner import simulate
 from repro.uarch.config import FOUR_WIDE
 from repro.workloads import registry
@@ -104,7 +107,7 @@ WINDOW_SPEEDUP_MIN_CPUS = 4
 def bench_sampled_throughput(publish):
     regime = REGIMES["sampled"]
     rate, stats = best_rate(regime, rounds=3)
-    _, warmup = sample_plan(regime.sample)
+    warmup = detail_warmup(regime.sample)
 
     publish(
         "sampled_throughput",
@@ -143,7 +146,7 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     workload = registry.build("mcf", scale=0.5)
     fast_forward, sample = 20_000, 4_000
-    region, warmup = sample_plan(sample)
+    region, warmup = sample, detail_warmup(sample)
     latencies = (50, 100, 200, 400)
     configs = [
         _apply_override(FOUR_WIDE, "memory_latency", value)
@@ -229,7 +232,7 @@ def bench_sampled_multi_throughput(publish):
     for a fresh (unamortized) multi-region run, chain build included."""
     regime = REGIMES["sampled_multi"]
     rate, stats = best_rate(regime, rounds=3)
-    _, warmup = sample_plan(regime.sample)
+    warmup = detail_warmup(regime.sample)
 
     publish(
         "sampled_multi_throughput",
@@ -283,7 +286,10 @@ def bench_sampled_multi_differential(publish, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     workload = registry.build("mcf", scale=181)
     sample, regions, period = 2_000, 10, 1_000_000
-    plan = build_sample_plan(workload.region, 0, sample, regions, period)
+    plan = RunRequest(
+        "mcf", 181, fast_forward=0, sample=sample,
+        sample_regions=regions, sample_period=period,
+    ).schedule()
 
     # Sampled side: the chained fast-forward is built fresh, in memory
     # (the one-shot cost model, same as the sampled_multi regime —
@@ -297,7 +303,7 @@ def bench_sampled_multi_differential(publish, tmp_path, monkeypatch):
         snapshot, _hit = next(chain)
         stats = simulate(
             workload,
-            snapshot=snapshot, warmup=plan.warmup, region=plan.sample,
+            snapshot=snapshot, warmup=plan.warmup, region=plan.region,
         )
         if snapshot is not None:
             stats.ff_insts = snapshot.executed
@@ -365,7 +371,7 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     regime = REGIMES["sampled_parallel"]
     rate, stats = best_rate(regime, rounds=3)
-    _, warmup = sample_plan(regime.sample)
+    warmup = detail_warmup(regime.sample)
 
     publish(
         "sampled_parallel_throughput",
@@ -416,7 +422,7 @@ def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
     """
     from repro.harness.cache import RunCache
     from repro.harness.fastforward import prebuild_snapshots
-    from repro.harness.parallel import RunRequest, run_matrix
+    from repro.harness.parallel import run_matrix
     from repro.uarch.stats import stats_digest
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

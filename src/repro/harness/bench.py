@@ -115,12 +115,14 @@ class BenchRegime:
         if self.mode == "slice":
             kwargs["slices"] = tuple(workload.slices)
         if self.fast_forward > 0 or self.sample > 0:
-            from repro.harness.fastforward import ensure_snapshot, sample_plan
+            from repro.harness.fastforward import (
+                detail_warmup,
+                ensure_snapshot,
+            )
 
-            region, warmup = sample_plan(self.sample)
-            if region is not None:
-                kwargs["region"] = region
-            kwargs["warmup"] = warmup
+            if self.sample > 0:
+                kwargs["region"] = self.sample
+            kwargs["warmup"] = detail_warmup(self.sample)
             if self.fast_forward > 0 and "snapshot" not in overrides:
                 kwargs["snapshot"], _ = ensure_snapshot(
                     workload, self.config, self.fast_forward
@@ -136,32 +138,23 @@ class BenchRegime:
         ``run()``; the shared snapshot is amortized across a sweep).
 
         For a multi-region regime the prefix term is the chain *span*
-        (the deepest window's prefix — all the chained build
-        executes), not the per-window ``ff_insts`` sum. With an
-        explicit ``sample_period`` the span is closed-form from the
-        schedule, which also covers window-parallel aggregates: a
+        (the deepest run window's depth in the request's schedule — all
+        the chained build executes), not the per-window ``ff_insts``
+        sum. That also covers window-parallel aggregates: a
         :func:`~repro.harness.parallel.run_matrix` aggregate sums each
         window's own prefix into ``ff_insts`` (the windows never see
         the chain as one object), so trusting ``ff_insts`` there would
-        inflate the rate quadratically. Without an explicit period the
-        serial runner's span rewrite (:func:`_run_multi_region`) is
-        trusted as before.
+        inflate the rate quadratically.
         """
         if self.sample_regions >= 2:
-            from repro.harness.fastforward import sample_plan
-
-            _region, warmup = sample_plan(self.sample)
+            plan = _bench_request(self).schedule()
             regions_run = stats.sample_regions or self.sample_regions
-            if self.sample_period > 0:
-                period = max(self.sample_period, warmup + self.sample)
-                span = self.fast_forward + (regions_run - 1) * period
-            else:
-                span = stats.ff_insts
-            return span + regions_run * warmup + stats.committed
+            span = plan.depths[regions_run - 1]
+            return span + regions_run * plan.warmup + stats.committed
         if self.fast_forward > 0 or self.sample > 0:
-            from repro.harness.fastforward import sample_plan
+            from repro.harness.fastforward import detail_warmup
 
-            _region, warmup = sample_plan(self.sample)
+            warmup = detail_warmup(self.sample)
             return stats.ff_insts + warmup + stats.committed
         return stats.committed
 
@@ -274,22 +267,13 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
     fast-forward (that is the regime's cost model: the one-shot,
     unamortized multi-region run). The aggregate's ``ff_insts`` is
     rewritten to the chain *span* — the deepest prefix, which is all
-    the incremental build executes — so ``covered_insts`` stays honest.
+    the incremental build executes — so the reported fast-forward
+    count is what the round paid for.
     """
-    from repro.harness.fastforward import (
-        SnapshotStore,
-        build_sample_plan,
-        iter_chain,
-    )
+    from repro.harness.fastforward import SnapshotStore, iter_chain
     from repro.harness.parallel import assemble_windows
 
-    plan = build_sample_plan(
-        workload.region,
-        regime.fast_forward,
-        regime.sample,
-        regime.sample_regions,
-        regime.sample_period,
-    )
+    plan = _bench_request(regime).schedule(workload.region)
     chain = iter_chain(
         workload, regime.config, plan.depths,
         store=SnapshotStore(enabled=False),
@@ -301,7 +285,7 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
         kwargs = dict(
             memory_image=workload.memory_image,
             memory_normalized=True,
-            region=plan.sample,
+            region=plan.region,
             warmup=plan.warmup,
             workload_name=workload.name,
             snapshot=snapshot,
@@ -324,7 +308,8 @@ def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
 
 def _bench_request(regime: BenchRegime):
     """The :class:`~repro.harness.parallel.RunRequest` equivalent of
-    *regime* (window-parallel regimes run through ``run_matrix``)."""
+    *regime*: its window schedule, and the request window-parallel
+    regimes run through ``run_matrix``."""
     from repro.harness.parallel import RunRequest
 
     return RunRequest(

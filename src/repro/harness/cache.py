@@ -114,9 +114,9 @@ def window_fingerprint(request, depth: int, source_hash: str | None = None) -> s
         base.pop(field)
     # Local import: fastforward imports this module for the key scheme,
     # so the warmup rule is resolved lazily.
-    from repro.harness.fastforward import sample_plan
+    from repro.harness.fastforward import detail_warmup
 
-    _region, warmup = sample_plan(sample)
+    warmup = detail_warmup(sample)
     return content_key(
         {
             "schema": SCHEMA_VERSION,

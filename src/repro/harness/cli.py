@@ -50,6 +50,7 @@ from repro.harness import experiments
 from repro.harness.cache import RunCache
 from repro.harness.parallel import (
     ON_ERROR_POLICIES,
+    RunRequest,
     reset_skipped_log,
     skipped_outcomes,
 )
@@ -209,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "instructions between multi-region window starts (default: "
-            "spread the windows uniformly over the workload's region)"
+            "instructions between multi-region window starts; needs "
+            "--sample-regions >= 2 (default: spread the windows "
+            "uniformly over the workload's region)"
         ),
     )
     parser.add_argument(
@@ -837,6 +839,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.horizon is not None and not args.sampled:
             print("--horizon needs --sampled", file=sys.stderr)
             return 2
+    try:
+        # Every request downstream takes its sampling fields from the
+        # env mirrors set above: refuse a bad combination once, here,
+        # instead of as a traceback from deep inside an experiment.
+        RunRequest(workload="-", scale=1.0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from repro.service.store import ContentStore
 
     # A ContentStore as the run cache: run_matrix flushes the

@@ -125,9 +125,9 @@ def sampled_plan(
     horizon = horizon or SAMPLED_HORIZON
     regions = regions or SAMPLED_REGIONS
     window = window if window is not None else SAMPLED_WINDOW
-    from repro.harness.fastforward import sample_plan as _sample_plan
+    from repro.harness.fastforward import detail_warmup
 
-    _, warmup = _sample_plan(window)
+    warmup = detail_warmup(window)
     span = int(horizon * _HORIZON_MARGIN) - (window + warmup)
     period = max(span // regions, window + warmup)
     return {

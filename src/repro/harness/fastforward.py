@@ -26,12 +26,15 @@ measures. This module is that layer for our simulator, in four parts:
   corrupt-quarantine discipline as the run cache
   (:mod:`repro.harness.blobstore`), keyed by
   ``(workload, scale, ff_insts, warming config, src hash)``.
-* :class:`SamplePlan` / :func:`build_sample_plan` — SMARTS-style
-  periodic sampling: N detailed measurement windows (each preceded by
-  a detailed-warming discard prefix) spread over the workload's
-  region, with functional fast-forward covering everything between
-  windows. Each window's prefix depth names one member of a **snapshot
-  chain**.
+* :class:`SamplePlan` / :func:`detail_warmup` — the windows a request
+  measures. :meth:`repro.harness.parallel.RunRequest.schedule` is the
+  one reading of a request's sampling fields: full detail is one window
+  at depth 0, a single-window sampled run one window at its
+  fast-forward depth, and a multi-region run SMARTS-style periodic
+  sampling, N windows (each preceded by a detailed-warming discard
+  prefix) spread over the workload's region with functional warming
+  between them. Each window's prefix depth names one member of a
+  **snapshot chain**.
 * :func:`ensure_snapshot` / :func:`iter_chain` /
   :func:`prebuild_snapshots` — build-once / share-everywhere:
   ``run_matrix`` pre-builds each distinct snapshot (or chain) a matrix
@@ -42,12 +45,15 @@ measures. This module is that layer for our simulator, in four parts:
   program. The warming key digests only the sub-configs that shape
   warmed state (L1D/L2 geometry, prefetch, branch predictor budgets) —
   varying ``memory_latency``, ``window_entries``, or slice hardware
-  across sweep points reuses the identical chain.
+  across sweep points reuses the identical chain. Every request
+  measures its windows along an :func:`iter_chain` walk (a depth-0
+  window needs no member), and :func:`ensure_snapshot` is the
+  one-member walk.
 
 **Accuracy model.** Functional warming is architectural: it sees no
 wrong-path accesses, no timing-dependent prefetch arrivals, and no
 helper threads (FORK is architecturally a no-op). The detailed-warming
-*discard window* (:func:`sample_plan`) absorbs that residue: the first
+*discard window* (:func:`detail_warmup`) absorbs that residue: the first
 ``sample // 10`` committed instructions (capped at
 :data:`DETAIL_WARMUP_CAP`) run in full detail but are discarded at the
 warmup boundary, so in-flight timing, stream-prefetcher state, and the
@@ -103,81 +109,30 @@ DETAIL_WARMUP_FRACTION = 10
 DETAIL_WARMUP_CAP = 2_000
 
 
-def sample_plan(sample: int) -> tuple[int | None, int]:
-    """Map a request's ``sample`` field to ``(region, warmup)``.
-
-    ``sample <= 0`` means no sampling: the workload's own region, no
-    discard window — the legacy (bit-identical) path. Otherwise the
-    measured region is exactly *sample* committed instructions,
-    preceded by the detailed-warming discard window.
-    """
-    if sample <= 0:
-        return None, 0
-    return sample, min(sample // DETAIL_WARMUP_FRACTION, DETAIL_WARMUP_CAP)
+def detail_warmup(sample: int) -> int:
+    """The detailed-warming discard window ahead of a *sample*-
+    instruction measured window: the one warmup rule. ``sample <= 0``
+    (the workload's own region, unsampled) gets none, which keeps a
+    full-detail run bit-identical to a direct ``simulate()`` call."""
+    return min(max(sample, 0) // DETAIL_WARMUP_FRACTION, DETAIL_WARMUP_CAP)
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Placement of N periodic detailed windows over a long run.
+    """The detailed windows one request measures
+    (:meth:`repro.harness.parallel.RunRequest.schedule`).
 
     Window *k* fast-forwards ``depths[k]`` instructions functionally
     (with warming), then runs ``warmup`` detailed-but-discarded
-    instructions, then measures ``sample`` instructions in full
-    detail. ``depths`` is strictly increasing with step ``period``;
-    the region between two windows is covered by functional warming
-    only. ``depths[0] == 0`` means the first window starts cold at the
-    entry point (no snapshot needed).
+    instructions, then measures ``region`` committed instructions in
+    full detail (``None``: the workload's full region). ``depths`` is
+    ascending, and a depth of 0 starts cold at the entry point (no
+    snapshot). Full detail is the one window ``(0,)``.
     """
 
-    regions: int
-    sample: int
-    warmup: int
-    period: int
     depths: tuple[int, ...]
-
-    @property
-    def window(self) -> int:
-        """Detailed instructions per region (discard + measured)."""
-        return self.warmup + self.sample
-
-
-def build_sample_plan(
-    total_region: int,
-    fast_forward: int,
-    sample: int,
-    regions: int,
-    period: int = 0,
-) -> SamplePlan:
-    """Schedule *regions* periodic windows over *total_region*.
-
-    *total_region* is the horizon a full-detail run of this workload
-    would measure (``workload.region``); windows are spread uniformly
-    over ``[fast_forward, total_region)``. When *period* is 0 it is
-    derived as ``(total_region - fast_forward) // regions`` (clamped so
-    windows never overlap); an explicit period overrides the spread but
-    is clamped the same way.
-    """
-    if regions < 2:
-        raise ValueError(
-            f"multi-region plans need >= 2 regions, got {regions} "
-            "(use sample_plan for single-region sampling)"
-        )
-    if sample <= 0:
-        raise ValueError("multi-region sampling requires sample > 0")
-    _, warmup = sample_plan(sample)
-    window = warmup + sample
-    if period <= 0:
-        span = max(total_region - fast_forward, regions * window)
-        period = span // regions
-    period = max(period, window)
-    depths = tuple(fast_forward + k * period for k in range(regions))
-    return SamplePlan(
-        regions=regions,
-        sample=sample,
-        warmup=warmup,
-        period=period,
-        depths=depths,
-    )
+    warmup: int
+    region: int | None
 
 
 @dataclass
@@ -221,8 +176,8 @@ class Snapshot:
     #: stored member the building pass resumed from (``None`` when the
     #: pass started at the entry point). Like ``parent``, provenance is
     #: masked out of :func:`snapshot_digest` — parallel and serial
-    #: builds of the same depth must digest identically (CI asserts
-    #: exactly that).
+    #: builds of the same depth must digest identically
+    #: (``test_parallel_prebuild_matches_serial_digests``).
     built_by: str | None = None
     resumed_from_depth: int | None = None
 
@@ -277,11 +232,12 @@ def snapshot_digest(snapshot: Snapshot) -> str:
     """Hex SHA-256 of the snapshot's serialized payload.
 
     The simulator and the workload generators are deterministic, so the
-    same request must produce byte-identical snapshots — CI asserts
-    this (snapshot-determinism step). ``parent``, ``built_by``, and
-    ``resumed_from_depth`` are provenance, not state, and are masked
-    out so a chained build digests identically to a straight-through
-    build of the same depth (and a parallel prebuild to a serial one).
+    same request must produce byte-identical snapshots
+    (``test_snapshot_build_is_deterministic``). ``parent``,
+    ``built_by``, and ``resumed_from_depth`` are provenance, not
+    state, and are masked out so a chained build digests identically
+    to a straight-through build of the same depth (and a parallel
+    prebuild to a serial one).
     """
     if (
         snapshot.parent is not None
@@ -296,8 +252,8 @@ def snapshot_digest(snapshot: Snapshot) -> str:
 
 def chain_digest(digests: list[str] | tuple[str, ...]) -> str:
     """Digest of a whole chain: SHA-256 over its members' digests in
-    depth order. CI's chained-determinism step compares this across
-    two independent builds."""
+    depth order. ``test_chain_digest_deterministic_across_stores``
+    compares this across two independent builds."""
     joined = "\n".join(digests).encode()
     return hashlib.sha256(joined).hexdigest()
 
@@ -695,25 +651,18 @@ def ensure_snapshot(
     ff_insts: int,
     warming: bool = True,
     store: SnapshotStore | None = None,
-) -> tuple[Snapshot, bool]:
-    """Fetch (or build and persist) the snapshot for this prefix.
+) -> tuple[Snapshot | None, bool]:
+    """Fetch (or build and persist) the snapshot for this prefix: a
+    one-member :func:`iter_chain`.
 
     Returns ``(snapshot, hit)`` where *hit* says the snapshot came from
-    the store. Builds are deterministic and writes are atomic, so
-    concurrent workers racing on a missing snapshot converge on
-    identical bytes.
+    the store (``(None, False)`` for a prefix of 0). Builds are
+    deterministic and writes are atomic, so concurrent workers racing
+    on a missing snapshot converge on identical bytes.
     """
-    if store is None:
-        store = SnapshotStore()
-    key = snapshot_fingerprint(
-        workload.name, workload.scale, ff_insts, config, warming
+    return next(
+        iter_chain(workload, config, (ff_insts,), warming=warming, store=store)
     )
-    snapshot = store.get(key)
-    if snapshot is not None:
-        return snapshot, True
-    snapshot = fast_forward(workload, config, ff_insts, warming=warming)
-    store.put(key, snapshot)
-    return snapshot, False
 
 
 def iter_chain(
@@ -786,48 +735,6 @@ def iter_chain(
         prev, prev_key = snapshot, key
 
 
-def ensure_chain(
-    workload: Workload,
-    config: MachineConfig,
-    depths,
-    warming: bool = True,
-    store: SnapshotStore | None = None,
-) -> tuple[list[Snapshot | None], int]:
-    """Materialized :func:`iter_chain`: ``(members, store_hits)``.
-
-    Convenient for tests and small chains; for long plans over large
-    memory images prefer consuming :func:`iter_chain` directly.
-    """
-    members: list[Snapshot | None] = []
-    hits = 0
-    for snapshot, hit in iter_chain(
-        workload, config, depths, warming=warming, store=store
-    ):
-        members.append(snapshot)
-        hits += int(hit)
-    return members, hits
-
-
-def _plan_for_request(request, workload=None):
-    """The request's :class:`SamplePlan`, or ``None`` when it is not a
-    multi-region request. Needs the workload's region length, so a
-    prebuilt *workload* can be passed to avoid rebuilding it."""
-    regions = getattr(request, "sample_regions", 0)
-    if regions < 2:
-        return None
-    if workload is None:
-        from repro.workloads import registry
-
-        workload = registry.build(request.workload, scale=request.scale)
-    return build_sample_plan(
-        workload.region,
-        getattr(request, "fast_forward", 0),
-        request.sample,
-        regions,
-        getattr(request, "sample_period", 0),
-    )
-
-
 @dataclass(frozen=True)
 class _PrebuildTask:
     """One independent prebuild unit: the chain (or single snapshot)
@@ -880,26 +787,10 @@ def _prebuild_entry(
 def _prebuild_tasks(requests, store: SnapshotStore):
     """Deduplicate *requests* into the independent build units they
     need, dropping units the store already holds in full."""
-    from repro.workloads import registry
-
     tasks: list[_PrebuildTask] = []
     seen: set[tuple[str, ...]] = set()
-    workloads: dict[tuple[str, float], Workload] = {}
     for request in requests:
-        regions = getattr(request, "sample_regions", 0)
-        ff = getattr(request, "fast_forward", 0)
-        if regions < 2:
-            if ff <= 0:
-                continue
-            depths: tuple[int, ...] = (ff,)
-        else:
-            wkey = (request.workload, request.scale)
-            if wkey not in workloads:
-                workloads[wkey] = registry.build(
-                    request.workload, scale=request.scale
-                )
-            plan = _plan_for_request(request, workloads[wkey])
-            depths = tuple(d for d in plan.depths if d > 0)
+        depths = tuple(d for d in request.schedule().depths if d > 0)
         if not depths:
             continue
         config = request.resolve_config()
@@ -943,7 +834,7 @@ def prebuild_snapshots(
     optimization, and whatever error killed it will surface (or not)
     when the run that needs the snapshot builds it inline. Serial and
     parallel builds produce byte-identical members — only the
-    digest-masked ``built_by`` stamp differs (CI asserts this).
+    digest-masked ``built_by`` stamp differs.
 
     *fault_plan* injects deterministic worker faults into the pooled
     path (chaos tests only), under the same keying as the run matrix:

@@ -184,11 +184,10 @@ class RunRequest:
     fast_forward: int = field(default_factory=_default_fast_forward)
     #: Measured-region length of a sampled run: measure this many
     #: committed instructions after the detailed-warming discard window
-    #: (see :func:`repro.harness.fastforward.sample_plan`). ``0`` =
+    #: (see :func:`repro.harness.fastforward.detail_warmup`). ``0`` =
     #: the workload's full region.
     sample: int = field(default_factory=_default_sample)
-    #: Multi-region statistical sampling
-    #: (:func:`repro.harness.fastforward.build_sample_plan`): run this
+    #: Multi-region statistical sampling (:meth:`schedule`): run this
     #: many periodic detailed windows of ``sample`` instructions each,
     #: fast-forwarding between them along a shared snapshot chain, and
     #: aggregate them with a confidence interval
@@ -197,7 +196,7 @@ class RunRequest:
     sample_regions: int = field(default_factory=_default_sample_regions)
     #: Spacing between multi-region window starts (instructions).
     #: ``0`` derives it by spreading the windows uniformly over the
-    #: workload's full region.
+    #: workload's full region. Only a multi-region request may set it.
     sample_period: int = field(default_factory=_default_sample_period)
 
     def __post_init__(self) -> None:
@@ -223,6 +222,12 @@ class RunRequest:
                 "multi-region sampling (sample_regions >= 2) requires "
                 "a measured window length (sample > 0)"
             )
+        if self.sample_period > 0 and self.sample_regions < 2:
+            # It would not change a single window, only the run's key.
+            raise ValueError(
+                f"sample_period ({self.sample_period}) needs multi-region "
+                f"sampling (sample_regions >= 2, got {self.sample_regions})"
+            )
         # Normalize so equal requests fingerprint and hash equally.
         object.__setattr__(
             self, "perfect_branch_pcs", tuple(sorted(self.perfect_branch_pcs))
@@ -233,6 +238,38 @@ class RunRequest:
         object.__setattr__(
             self, "overrides", tuple((str(p), v) for p, v in self.overrides)
         )
+
+    def schedule(self, region: int | None = None) -> "SamplePlan":
+        """The detailed windows this request measures: the one reading
+        of ``fast_forward``, ``sample``, ``sample_regions`` and
+        ``sample_period``.
+
+        Full detail is one window at depth 0 and a single-window
+        sampled run one window at ``fast_forward``. A multi-region run
+        is ``sample_regions`` windows every period from
+        ``fast_forward``; the period is clamped to the window so
+        windows never overlap. Only a derived period
+        (``sample_period == 0``, windows spread uniformly over the
+        workload's *region*) needs the workload: *region* defaults to
+        this process's :func:`shared_workload` build.
+        """
+        from repro.harness.fastforward import SamplePlan, detail_warmup
+
+        warmup = detail_warmup(self.sample)
+        measured = self.sample or None
+        regions = self.sample_regions
+        if regions < 2:
+            return SamplePlan((self.fast_forward,), warmup, measured)
+        window = warmup + self.sample
+        period = self.sample_period
+        if period <= 0:
+            if region is None:
+                region = shared_workload(self.workload, self.scale).region
+            span = max(region - self.fast_forward, regions * window)
+            period = span // regions
+        period = max(period, window)
+        depths = tuple(self.fast_forward + k * period for k in range(regions))
+        return SamplePlan(depths, warmup, measured)
 
     def resolve_config(self) -> MachineConfig:
         """Materialize the machine configuration for this request."""
@@ -292,37 +329,6 @@ def assemble_windows(depths, measure) -> RunStats | None:
     return aggregate_stats(kept)
 
 
-def _execute_multi_region(
-    request: RunRequest, workload, config, snapshots, run
-) -> RunStats:
-    """Multi-region sampled execution: one detailed window per chain
-    member, each measured by *run* (:func:`simulate` bound to the
-    request's workload, config and arm), aggregated into a whole-run
-    estimate with a confidence interval.
-
-    Consumes :func:`~repro.harness.fastforward.iter_chain` as a
-    stream — each window's snapshot is restored, measured, and
-    released before the next member is touched, so at most one memory
-    image beyond the running window is live at a time. The fold stops
-    at the first short chain member, so the chain never advances past
-    the one window it measures and drops.
-    """
-    from repro.harness.fastforward import _plan_for_request, iter_chain
-
-    plan = _plan_for_request(request, workload)
-    chain = iter_chain(workload, config, plan.depths, store=snapshots)
-
-    def measure(depth: int) -> RunStats:
-        snapshot, hit = next(chain)
-        stats = run(snapshot=snapshot, warmup=plan.warmup, region=plan.sample)
-        if snapshot is not None:
-            stats.ff_insts = snapshot.executed
-            stats.snapshot_hit = hit
-        return stats
-
-    return assemble_windows(plan.depths, measure)
-
-
 #: The most recently built workload in this process, as
 #: ``((name, scale), workload)``. Window units arrive name-major, so one
 #: entry catches nearly every rebuild; keeping more raises peak RSS.
@@ -353,45 +359,46 @@ def execute_request(request: RunRequest, snapshots=None) -> RunStats:
     snapshots in *snapshots* (a
     :class:`~repro.harness.fastforward.SnapshotStore`; ``None`` = the
     store under the default cache root). Top-level so the pool can
-    pickle it."""
+    pickle it.
+
+    Every request is a list of windows (:meth:`RunRequest.schedule`),
+    measured along one :func:`~repro.harness.fastforward.iter_chain`
+    walk. The walk is a stream: each window's snapshot is restored,
+    measured and released before the next member is touched, and the
+    multi-region fold stops at the first short chain member, so the
+    chain never advances past the one window it measures and drops. A
+    depth-0 window restores nothing, so a full-detail request builds
+    its Core exactly as a direct :func:`simulate` call does.
+    """
+    from repro.harness.fastforward import iter_chain
+
     workload = shared_workload(request.workload, request.scale)
     config = request.resolve_config()
-    run = functools.partial(
-        simulate,
-        workload,
-        request.mode,
-        config,
-        perfect=request.resolve_perfect(),
-        dedicated=request.dedicated,
-        event_driven=request.event_driven,
-        fused_blocks=request.fused_blocks,
-    )
+    plan = request.schedule(workload.region)
+    chain = iter_chain(workload, config, plan.depths, store=snapshots)
+
+    def measure(depth: int) -> RunStats:
+        snapshot, hit = next(chain)
+        stats = simulate(
+            workload,
+            request.mode,
+            config,
+            perfect=request.resolve_perfect(),
+            dedicated=request.dedicated,
+            event_driven=request.event_driven,
+            fused_blocks=request.fused_blocks,
+            snapshot=snapshot,
+            warmup=plan.warmup,
+            region=plan.region,
+        )
+        if snapshot is not None:
+            stats.ff_insts = snapshot.executed
+            stats.snapshot_hit = hit
+        return stats
 
     if request.sample_regions >= 2:
-        return _execute_multi_region(
-            request, workload, config, snapshots, run
-        )
-
-    # Single-window sampled run: fetch (or build) the warmed snapshot
-    # and translate the sample length into the region + discard-window
-    # pair. The fast_forward == sample == 0 path must construct the
-    # Core exactly as a direct simulate() call (bit-identical stats).
-    snapshot = None
-    snapshot_hit = False
-    region, warmup = None, 0
-    if request.fast_forward > 0 or request.sample > 0:
-        from repro.harness.fastforward import ensure_snapshot, sample_plan
-
-        region, warmup = sample_plan(request.sample)
-        if request.fast_forward > 0:
-            snapshot, snapshot_hit = ensure_snapshot(
-                workload, config, request.fast_forward, store=snapshots
-            )
-    stats = run(snapshot=snapshot, warmup=warmup, region=region)
-    if snapshot is not None:
-        stats.ff_insts = snapshot.executed
-        stats.snapshot_hit = snapshot_hit
-    return stats
+        return assemble_windows(plan.depths, measure)
+    return measure(plan.depths[0])
 
 
 def window_request(request: RunRequest, depth: int) -> RunRequest:
@@ -432,26 +439,6 @@ class _WindowUnit:
         return f"{self.request.mode}@{self.depth}"
 
 
-def window_depths(request: RunRequest) -> tuple[int, ...]:
-    """The chain depths of a multi-region request's windows.
-
-    With an explicit ``sample_period`` the schedule is closed-form (no
-    workload build needed — the experiment service's submit path relies
-    on this); a derived period needs the workload's region length.
-    """
-    from repro.harness.fastforward import _plan_for_request, build_sample_plan
-
-    if request.sample_period > 0:
-        return build_sample_plan(
-            0,
-            request.fast_forward,
-            request.sample,
-            request.sample_regions,
-            request.sample_period,
-        ).depths
-    return _plan_for_request(request).depths
-
-
 def window_schedule(request: RunRequest) -> list[_WindowUnit]:
     """Explode a multi-region *request* into its per-window work units,
     in depth order, each carrying its windows-namespace cache key."""
@@ -463,7 +450,7 @@ def window_schedule(request: RunRequest) -> list[_WindowUnit]:
             key=window_fingerprint(request, depth),
             depth=depth,
         )
-        for depth in window_depths(request)
+        for depth in request.schedule().depths
     ]
 
 
@@ -820,30 +807,23 @@ def run_matrix(
             resolved[request] = outcome
         pending = []
     if pending:
-        sampled = [
-            r
-            for r in pending
-            if r.fast_forward > 0 or r.sample_regions >= 2
-        ]
-        if sampled:
-            # Build each distinct warmed snapshot — for multi-region
-            # requests, each distinct snapshot *chain* — once before
-            # fanning out: every sweep point / pool worker then
-            # restores from the shared store instead of re-paying the
-            # functional prefix per run. Independent chains build
-            # concurrently under the same resilience knobs as the
-            # matrix itself. (Races with concurrent harnesses are
-            # benign — builds are deterministic and writes are
-            # atomic.)
-            from repro.harness.fastforward import prebuild_snapshots
+        # Build each distinct warmed snapshot — for multi-region
+        # requests, each distinct snapshot *chain* — once before
+        # fanning out: every sweep point / pool worker then restores
+        # from the shared store instead of re-paying the functional
+        # prefix per run. Independent chains build concurrently under
+        # the same resilience knobs as the matrix itself. (Races with
+        # concurrent harnesses are benign — builds are deterministic
+        # and writes are atomic.)
+        from repro.harness.fastforward import prebuild_snapshots
 
-            prebuild_snapshots(
-                sampled,
-                store=cache.snapshots,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-            )
+        prebuild_snapshots(
+            pending,
+            store=cache.snapshots,
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+        )
         # Two-level scheduling: explode multi-region requests into
         # per-window units (first-class pool siblings of the plain
         # requests), answering already-measured windows from the

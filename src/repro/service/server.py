@@ -36,11 +36,7 @@ import json
 import logging
 
 from repro.harness.cache import fingerprint, window_fingerprint
-from repro.harness.parallel import (
-    assemble_windows,
-    window_depths,
-    window_request,
-)
+from repro.harness.parallel import assemble_windows, window_request
 from repro.service.codec import decode_request, encode_request, encode_stats
 from repro.service.queue import JobQueue
 from repro.service.store import ContentStore
@@ -181,9 +177,9 @@ class ExperimentServer:
         if request.sample_regions < 2 or request.sample_period <= 0:
             _, fresh = self.queue.submit(request)
             return None, int(fresh)
-        depths = window_depths(request)
         windows = [
-            (depth, window_fingerprint(request, depth)) for depth in depths
+            (depth, window_fingerprint(request, depth))
+            for depth in request.schedule().depths
         ]
         self.queue.save_assembly(
             key,

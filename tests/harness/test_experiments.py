@@ -3,7 +3,15 @@
 import pytest
 
 from repro.harness import experiments
+from repro.harness.parallel import RunRequest
 from repro.uarch.config import FOUR_WIDE
+
+
+def _last_window_end(name: str, plan: dict) -> int:
+    """Where the last window of *plan*'s schedule (warmup included)
+    ends."""
+    schedule = RunRequest(name, **plan).schedule()
+    return schedule.depths[-1] + schedule.warmup + schedule.region
 
 
 def test_default_scale_env_override(monkeypatch):
@@ -80,11 +88,11 @@ def test_sampled_plan_schedule_fits_horizon():
         plan = experiments.sampled_plan(name)
         regions = plan["sample_regions"]
         assert regions == experiments.SAMPLED_REGIONS
-        # build_sample_plan places window k at ff + k*period; the last
-        # window (plus its discard warmup) must land inside the margin.
-        last_start = plan["fast_forward"] + (regions - 1) * plan["sample_period"]
-        window = plan["sample"] + plan["sample"] // 10
-        assert last_start + window <= experiments.SAMPLED_HORIZON
+        # The last window (plus its discard warmup) must land inside
+        # the margin.
+        assert _last_window_end(name, plan) <= experiments.SAMPLED_HORIZON
+        schedule = RunRequest(name, **plan).schedule()
+        window = schedule.warmup + schedule.region
         assert plan["sample_period"] >= window  # windows never overlap
 
 
@@ -97,11 +105,7 @@ def test_sampled_plan_windows_land_before_halt(workload_name):
 
     horizon = 100_000
     plan = experiments.sampled_plan(workload_name, horizon=horizon)
-    last_end = (
-        plan["fast_forward"]
-        + (plan["sample_regions"] - 1) * plan["sample_period"]
-        + plan["sample"] + plan["sample"] // 10
-    )
+    last_end = _last_window_end(workload_name, plan)
     workload = registry.build(workload_name, scale=plan["scale"])
     run = ff._LiveRun(workload, FOUR_WIDE, warming=False)
     run.advance(2 * horizon)

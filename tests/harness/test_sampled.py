@@ -19,15 +19,15 @@ from repro.harness import cli
 from repro.harness.cache import RunCache
 from repro.harness.fastforward import (
     DETAIL_WARMUP_CAP,
+    SamplePlan,
     Snapshot,
     SnapshotStore,
-    build_sample_plan,
     chain_digest,
-    ensure_chain,
+    detail_warmup,
     ensure_snapshot,
     fast_forward,
+    iter_chain,
     list_snapshots,
-    sample_plan,
     snapshot_digest,
     snapshot_fingerprint,
 )
@@ -113,12 +113,80 @@ def test_sampling_fields_join_the_cache_fingerprint():
     assert len(keys) == 3
 
 
-def test_sample_plan_math():
-    assert sample_plan(0) == (None, 0)
-    assert sample_plan(-3) == (None, 0)
-    assert sample_plan(4_000) == (4_000, 400)
+def test_detail_warmup_math():
+    assert detail_warmup(0) == 0
+    assert detail_warmup(-3) == 0
+    assert detail_warmup(4_000) == 400
     # The discard window caps: a huge region does not warm forever.
-    assert sample_plan(1_000_000) == (1_000_000, DETAIL_WARMUP_CAP)
+    assert detail_warmup(1_000_000) == DETAIL_WARMUP_CAP
+
+
+def _request(**fields):
+    """A vpr request with every sampling field explicit (no env)."""
+    fields = {
+        "fast_forward": 0, "sample": 0, "sample_regions": 0,
+        "sample_period": 0, **fields,
+    }
+    return RunRequest(workload="vpr", scale=0.05, **fields)
+
+
+#: ``(sampling fields, workload region, expected schedule)``.
+SCHEDULES = [
+    # Full detail: one cold window over the workload's own region.
+    ({}, None, SamplePlan((0,), 0, None)),
+    # A single window sits at its fast-forward depth.
+    ({"fast_forward": 2_000}, None, SamplePlan((2_000,), 0, None)),
+    ({"sample": 4_000}, None, SamplePlan((0,), 400, 4_000)),
+    (
+        {"fast_forward": 2_000, "sample": 4_000},
+        None,
+        SamplePlan((2_000,), 400, 4_000),
+    ),
+    # The discard window caps: a huge region does not warm forever.
+    (
+        {"sample": 1_000_000},
+        None,
+        SamplePlan((0,), DETAIL_WARMUP_CAP, 1_000_000),
+    ),
+    # Default spread: the windows share the workload's region.
+    (
+        {"sample": 1_000, "sample_regions": 4},
+        100_000,
+        SamplePlan((0, 25_000, 50_000, 75_000), 100, 1_000),
+    ),
+    # An explicit period overrides the spread (and the region).
+    (
+        {
+            "fast_forward": 10_000, "sample": 1_000,
+            "sample_regions": 3, "sample_period": 20_000,
+        },
+        None,
+        SamplePlan((10_000, 30_000, 50_000), 100, 1_000),
+    ),
+    # The period clamps to the window so regions never overlap,
+    # whether explicit or spread over too short a region.
+    (
+        {"sample": 5_000, "sample_regions": 2, "sample_period": 1},
+        None,
+        SamplePlan((0, 5_500), 500, 5_000),
+    ),
+    (
+        {"sample": 5_000, "sample_regions": 2},
+        6_000,
+        SamplePlan((0, 5_500), 500, 5_000),
+    ),
+]
+
+
+def test_schedule_math():
+    for fields, region, plan in SCHEDULES:
+        assert _request(**fields).schedule(region) == plan, fields
+
+
+def test_derived_schedule_reads_the_shared_workload():
+    request = _request(sample=500, sample_regions=4)
+    region = registry.build("vpr", scale=0.05).region
+    assert request.schedule() == request.schedule(region)
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +310,11 @@ def test_region_smaller_than_warmup_still_warms():
 
 
 def test_snapshot_build_is_deterministic():
-    workload = registry.build("gzip", scale=0.05)
-    a = fast_forward(workload, FOUR_WIDE, 1_000)
-    b = fast_forward(registry.build("gzip", scale=0.05), FOUR_WIDE, 1_000)
-    assert snapshot_digest(a) == snapshot_digest(b)
+    for name, scale, depth in (("gzip", 0.05, 1_000), ("mcf", 0.2, 5_000)):
+        workload = registry.build(name, scale=scale)
+        a = fast_forward(workload, FOUR_WIDE, depth)
+        b = fast_forward(registry.build(name, scale=scale), FOUR_WIDE, depth)
+        assert snapshot_digest(a) == snapshot_digest(b), name
 
 
 def test_fingerprint_keys_on_warming_inputs_only():
@@ -352,10 +421,10 @@ def test_sampled_ipc_tracks_full_detail(cache_env):
     region IPC stays within 2% of full detail over the same region."""
     workload = registry.build("mcf", scale=0.2)
     ff, sample = 5_000, 1_000
-    region, warmup = sample_plan(sample)
+    warmup = detail_warmup(sample)
     snap, _ = ensure_snapshot(workload, FOUR_WIDE, ff)
     sampled = simulate(
-        workload, snapshot=snap, warmup=warmup, region=region
+        workload, snapshot=snap, warmup=warmup, region=sample
     )
     full = simulate(workload, warmup=ff + warmup, region=sample)
     assert sampled.committed == full.committed == sample
@@ -505,22 +574,6 @@ def test_aggregate_stats_merges_everything():
         aggregate_stats([])
 
 
-def test_build_sample_plan_math():
-    plan = build_sample_plan(100_000, 0, 1_000, 4)
-    assert plan.depths == (0, 25_000, 50_000, 75_000)
-    assert plan.warmup == 100
-    assert plan.window == 1_100
-    plan = build_sample_plan(100_000, 10_000, 1_000, 3, period=20_000)
-    assert plan.depths == (10_000, 30_000, 50_000)
-    # The period clamps to the window so regions never overlap.
-    plan = build_sample_plan(10_000, 0, 5_000, 2, period=1)
-    assert plan.period == plan.window
-    with pytest.raises(ValueError):
-        build_sample_plan(100_000, 0, 1_000, 1)
-    with pytest.raises(ValueError):
-        build_sample_plan(100_000, 0, 0, 4)
-
-
 # ----------------------------------------------------------------------
 # Snapshot chains: incremental == straight-through
 # ----------------------------------------------------------------------
@@ -556,27 +609,41 @@ def test_chain_members_match_straight_builds(cache_env):
     chained and unchained sweeps share store keys AND content."""
     workload = registry.build("mcf", scale=0.1)
     depths = [1_000, 2_500, 4_999]  # awkward splits vs block boundaries
-    members, hits = ensure_chain(workload, FOUR_WIDE, depths)
-    assert hits == 0
+    members, hits = zip(*iter_chain(workload, FOUR_WIDE, depths))
+    assert not any(hits)
     assert [m.parent for m in members][1:] != [None, None]  # provenance kept
     for depth, member in zip(depths, members):
         straight = fast_forward(workload, FOUR_WIDE, depth)
         assert snapshot_digest(member) == snapshot_digest(straight)
     # Second walk: every member restored from the store.
-    _members, hits = ensure_chain(workload, FOUR_WIDE, depths)
-    assert hits == len(depths)
+    _members, hits = zip(*iter_chain(workload, FOUR_WIDE, depths))
+    assert all(hits)
 
 
-def test_chain_digest_deterministic_across_stores(tmp_path, monkeypatch):
-    """CI's chained-determinism property: two independent builds in
-    fresh stores produce the same chain digest."""
-    digests = []
-    for sub in ("a", "b"):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / sub))
-        workload = registry.build("gzip", scale=0.05)
-        members, _hits = ensure_chain(workload, FOUR_WIDE, [500, 1_000])
-        digests.append(chain_digest([snapshot_digest(m) for m in members]))
-    assert digests[0] == digests[1]
+def test_chain_digest_deterministic_across_stores(tmp_path):
+    """Two independent chain builds in fresh stores produce the same
+    chain digest, and the deepest (resumed) member matches a
+    straight-through build of its depth."""
+    cases = (
+        ("gzip", 0.05, (500, 1_000)),
+        ("mcf", 0.2, (2_000, 5_000, 8_000)),
+    )
+    for name, scale, depths in cases:
+        digests = []
+        for sub in ("a", "b"):
+            members, hits = zip(*iter_chain(
+                registry.build(name, scale=scale), FOUR_WIDE, depths,
+                store=SnapshotStore(tmp_path / name / sub),
+            ))
+            assert not any(hits)  # fresh store: every member built
+            digests.append(
+                chain_digest([snapshot_digest(m) for m in members])
+            )
+        assert digests[0] == digests[1], name
+        straight = fast_forward(
+            registry.build(name, scale=scale), FOUR_WIDE, depths[-1]
+        )
+        assert snapshot_digest(members[-1]) == snapshot_digest(straight)
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +658,19 @@ def test_multi_region_request_validation():
         RunRequest(workload="vpr", scale=0.05, sample=100, sample_regions=-1)
     with pytest.raises(ValueError):
         RunRequest(workload="vpr", scale=0.05, sample=100, sample_period=-1)
+
+
+def test_lone_sample_period_is_refused():
+    """A period without multi-region sampling would run the same single
+    window under another key, so an identical run would miss the
+    cache: the request refuses it instead."""
+    with pytest.raises(ValueError, match="sample_period"):
+        RunRequest(workload="vpr", scale=0.05, sample_period=1_000)
+    with pytest.raises(ValueError, match="sample_period"):
+        RunRequest(
+            workload="vpr", scale=0.05, sample=500,
+            sample_regions=1, sample_period=1_000,
+        )
 
 
 def test_multi_region_joins_fingerprint():
@@ -737,9 +817,24 @@ def test_multi_region_flags_mirror_to_env(monkeypatch, tmp_path):
     assert os.environ["REPRO_SAMPLE_PERIOD"] == "123"
 
 
+@pytest.mark.parametrize(
+    "flags", [["--sample-period", "1000"],
+              ["--sample-period", "1000", "--sample-regions", "1"]],
+)
+def test_cli_refuses_lone_sample_period(monkeypatch, capsys, tmp_path, flags):
+    for key in ("REPRO_SAMPLE", "REPRO_SAMPLE_REGIONS", "REPRO_SAMPLE_PERIOD"):
+        monkeypatch.setenv(key, "stale")  # registers teardown restore
+        monkeypatch.delenv(key)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["table2", "--scale", "0.05", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample_period")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_cli_snapshot_ls_shows_chain(cache_env, capsys):
     workload = registry.build("gzip", scale=0.05)
-    ensure_chain(workload, FOUR_WIDE, [500, 1_000])
+    list(iter_chain(workload, FOUR_WIDE, [500, 1_000]))
     assert cli.main(["snapshot", "ls"]) == 0
     out = capsys.readouterr().out
     assert "chain" in out
@@ -952,14 +1047,14 @@ def test_parallel_prebuild_matches_serial_digests(tmp_path):
     only the digest-masked built_by provenance stamp differs."""
     from repro.harness.fastforward import prebuild_snapshots
 
-    requests = [
-        RunRequest(workload="mcf", scale=0.1, fast_forward=1_000,
-                   sample=300, sample_regions=2, sample_period=2_500),
-        RunRequest(workload="gzip", scale=0.05, fast_forward=1_000,
-                   sample=300, sample_regions=2, sample_period=2_500),
+    cases = [
+        ((0.1, 0.05), dict(fast_forward=1_000, sample=300,
+                           sample_regions=2, sample_period=2_500)),
+        ((0.2, 0.1), dict(fast_forward=2_000, sample=500,
+                          sample_regions=3, sample_period=4_000)),
     ]
 
-    def build(jobs, root):
+    def build(requests, jobs, root):
         store = SnapshotStore(root)
         built = prebuild_snapshots(requests, store=store, jobs=jobs)
         entries = {}
@@ -967,11 +1062,71 @@ def test_parallel_prebuild_matches_serial_digests(tmp_path):
             entries[key] = (snapshot_digest(snap), snap.built_by)
         return built, entries
 
-    serial_built, serial = build(1, tmp_path / "serial")
-    parallel_built, parallel = build(2, tmp_path / "parallel")
-    assert serial_built == parallel_built > 0
-    assert set(serial) == set(parallel)
-    for key, (digest, _by) in serial.items():
-        assert parallel[key][0] == digest
-    assert {by for _digest, by in serial.values()} == {"serial"}
-    assert {by for _digest, by in parallel.values()} == {"parallel"}
+    for case, (scales, plan) in enumerate(cases):
+        requests = [
+            RunRequest(workload=name, scale=scale, **plan)
+            for name, scale in zip(("mcf", "gzip"), scales)
+        ]
+        serial_built, serial = build(requests, 1, tmp_path / f"s{case}")
+        parallel_built, parallel = build(requests, 2, tmp_path / f"p{case}")
+        assert serial_built == parallel_built > 0
+        assert set(serial) == set(parallel)
+        for key, (digest, _by) in serial.items():
+            assert parallel[key][0] == digest
+        assert {by for _digest, by in serial.values()} == {"serial"}
+        assert {by for _digest, by in parallel.values()} == {"parallel"}
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every ``registry.build`` this process makes from here on
+    (forked pool workers count into their own copy, not this one)."""
+    from repro.harness import parallel
+
+    builds = []
+    build = registry.build
+
+    def counting(name, *args, **kwargs):
+        builds.append(name)
+        return build(name, *args, **kwargs)
+
+    monkeypatch.setattr(registry, "build", counting)
+    monkeypatch.setattr(parallel, "_last_workload", None)
+    return builds
+
+
+def test_closed_form_schedules_build_nothing_in_the_parent(
+    tmp_path, monkeypatch
+):
+    """A sampled figure's plans have explicit periods, so scheduling
+    them (chain prebuild and window explosion) needs no workload: the
+    parent builds nothing, and the pool workers build the chains."""
+    from repro.harness.experiments import sampled_plan
+    from repro.harness.fastforward import prebuild_snapshots
+    from repro.harness.parallel import window_schedule
+
+    builds = _count_builds(monkeypatch)
+    requests = [
+        RunRequest(name, mode=mode, **sampled_plan(name, 5_000))
+        for name in registry.all_names()
+        for mode in ("base", "slice", "limit")
+    ]
+    store = SnapshotStore(tmp_path)
+    assert prebuild_snapshots(requests, store=store, jobs=2) > 0
+    for request in requests:
+        window_schedule(request)
+    assert builds == []
+
+
+def test_derived_period_sweep_builds_its_workload_once(cache_env, monkeypatch):
+    """A derived period needs the workload's region length: a
+    window-parallel sweep's eight requests read it from one shared
+    build in the parent."""
+    from repro.workloads.registry import WorkloadRef
+
+    builds = _count_builds(monkeypatch)
+    points = sweep_memory_latency(
+        WorkloadRef("mcf", 0.2), latencies=(50, 100, 200, 400), jobs=2,
+        cache=RunCache(enabled=False), sample=300, sample_regions=4,
+    )
+    assert all(p.base.sample_regions >= 2 for p in points)
+    assert len(builds) <= 1

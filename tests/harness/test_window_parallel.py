@@ -22,7 +22,6 @@ from repro.harness.parallel import (
     assemble_windows,
     execute_request,
     run_matrix,
-    window_depths,
     window_request,
     window_schedule,
 )
@@ -134,31 +133,36 @@ def test_resweep_answers_shared_windows_from_cache(cache_env):
     """Re-running a sweep with 10 regions after an 8-region run
     recomputes only the 2 new windows: the parent fingerprints differ
     (so the run cache misses) but the 8 shared windows hit the
-    ``windows`` namespace."""
-    cache = RunCache(cache_env)
+    ``windows`` namespace. Both runs reassemble the serial oracle's
+    aggregate, at 2 workers and at 8 (every window in flight at
+    once)."""
     eight = sampled(
         "mcf", "base", scale=0.2, sample=300,
         sample_regions=8, sample_period=1_000,
     )
-    first = run_matrix([eight], jobs=2, cache=cache, return_report=True)
-    assert first.outcomes[0].windows == 8
-    assert first.window_hits == 0
-
     ten = dataclasses.replace(eight, sample_regions=10)
-    second = run_matrix([ten], jobs=2, cache=cache, return_report=True)
-    outcome = second.outcomes[0]
-    assert outcome.status == "ok"
-    assert outcome.windows == 10
-    assert outcome.window_hits == 8  # only the 2 new depths were measured
+    oracles = [
+        run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
+        for request in (eight, ten)
+    ]
+    for jobs in (2, 8):
+        cache = RunCache(cache_env / f"jobs{jobs}")
+        first = run_matrix([eight], jobs=jobs, cache=cache, return_report=True)
+        assert first.outcomes[0].windows == 8
+        assert first.window_hits == 0
+        assert same_stats(oracles[0], first.outcomes[0].stats)
 
-    # The reassembled aggregate is still the serial oracle's, exactly.
-    oracle = run_matrix([ten], jobs=1, cache=RunCache(enabled=False))[0]
-    assert same_stats(oracle, outcome.stats)
+        second = run_matrix([ten], jobs=jobs, cache=cache, return_report=True)
+        outcome = second.outcomes[0]
+        assert outcome.status == "ok"
+        assert outcome.windows == 10
+        assert outcome.window_hits == 8  # only the 2 new depths measured
+        assert same_stats(oracles[1], outcome.stats)
 
-    # An exact re-run is a parent-level run-cache hit: no windows at all.
-    third = run_matrix([ten], jobs=2, cache=cache, return_report=True)
-    assert third.outcomes[0].status == "cached"
-    assert third.windows == 0
+        # An exact re-run is a parent-level run-cache hit: no windows.
+        third = run_matrix([ten], jobs=jobs, cache=cache, return_report=True)
+        assert third.outcomes[0].status == "cached"
+        assert third.windows == 0
 
 
 def test_window_fingerprint_ignores_schedule_shape():
@@ -179,7 +183,7 @@ def test_window_request_is_single_window_oracle(cache_env):
     warmup/region pair)."""
     request = sampled("gzip", "base", scale=0.1, sample_period=2_000)
     execute_request(request)  # build the chain once: both arms warm
-    depths = window_depths(request)
+    depths = request.schedule().depths
     assembled = assemble_windows(
         depths, lambda d: execute_request(window_request(request, d))
     )

@@ -20,7 +20,6 @@ from repro.harness.parallel import (
     RunRequest,
     execute_request,
     run_matrix,
-    window_depths,
     window_request,
 )
 from repro.service.codec import decode_stats, encode_request
@@ -79,7 +78,7 @@ def test_sweep_decomposes_into_window_jobs(server):
     assert server.counters["window_jobs"] == 3
     key = fingerprint(SWEEP)
     assert first["pending"] == [key]
-    for depth in window_depths(SWEEP):
+    for depth in SWEEP.schedule().depths:
         job = server.queue.job(window_fingerprint(SWEEP, depth))
         assert job is not None and job.kind == "window"
 
@@ -180,7 +179,7 @@ def test_worker_short_circuits_published_window(server):
     """A claimed window job whose result already landed (another worker
     or an in-process run sharing the store) completes without running."""
     submit(server, [SWEEP])
-    depths = window_depths(SWEEP)
+    depths = SWEEP.schedule().depths
     keys = [window_fingerprint(SWEEP, d) for d in depths]
     donor = ContentStore(server.store.root)
     for depth, wkey in zip(depths, keys):
