@@ -1,8 +1,10 @@
 """Seed-batch fan-out: run many differential checks in parallel.
 
-Reuses the harness pool executor (:func:`_execute_pooled`) — the same
-retry / timeout / broken-pool recovery discipline every experiment
-matrix gets — with a fuzz-specific entry point. A worker receives only
+Runs on the harness's one attempt loop
+(:func:`repro.harness.parallel._execute`) — the same retry / timeout /
+broken-pool recovery discipline and fault injection every experiment
+matrix gets, on a pool or, at one worker with no timeout, in this
+process — with a fuzz-specific entry point. A worker receives only
 ``(seed, scale)``; it regenerates the workload locally (generation is
 deterministic, and compiled programs are unpicklable anyway) and
 returns the picklable :class:`~repro.fuzz.diff.Divergence` or ``None``.
@@ -13,20 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fuzz.diff import Divergence, check_seed
-from repro.harness.parallel import (
-    MatrixReport,
-    _execute_pooled,
-    _resolve_retries,
-    _resolve_timeout,
-    resolve_jobs,
-)
+from repro.harness.parallel import _execute
 
 
 @dataclass(frozen=True)
 class _FuzzTask:
-    """One seed check: hashable + picklable pool item.
+    """One seed check: hashable + picklable executor item.
 
-    ``workload`` / ``mode`` satisfy the pool executor's logging
+    ``workload`` / ``mode`` satisfy the attempt loop's logging
     contract (what :class:`RunRequest` provides for matrix runs).
     """
 
@@ -44,10 +40,8 @@ class _FuzzTask:
         return "fuzz"
 
 
-def _fuzz_entry(task: _FuzzTask, attempt: int, fault_plan) -> Divergence | None:
-    """Pool worker: apply any planned fault, then check one seed."""
-    if fault_plan is not None:
-        fault_plan.perturb(task, attempt)
+def _fuzz_entry(task: _FuzzTask) -> Divergence | None:
+    """The batch's executor entry: check one seed."""
     return check_seed(task.seed, task.scale)
 
 
@@ -80,46 +74,29 @@ def run_fuzz_batch(
     Divergences are findings, not failures: a seed whose check
     *completes* with a divergence resolves normally and is reported in
     ``FuzzReport.divergences``. Only checks that cannot complete
-    (worker crash / timeout after retries) land in ``skipped`` —
+    (crash, timeout or error after retries, at any ``jobs``) land in
+    ``skipped`` —
     matching the matrix harness's ``on_error="skip"`` discipline, so
     one wedged seed never discards the rest of the batch.
     """
     tasks = [_FuzzTask(seed, scale) for seed in dict.fromkeys(seeds)]
-    timeout = _resolve_timeout(timeout)
-    retries = _resolve_retries(retries)
-    workers = min(resolve_jobs(jobs), max(len(tasks), 1))
-
+    outcomes = _execute(
+        tasks,
+        _fuzz_entry,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        on_error="skip",
+        fault_plan=fault_plan,
+    )
     divergences: list[Divergence] = []
     skipped: list[tuple[int, str]] = []
-
-    if tasks and (workers > 1 or timeout is not None):
-        outcomes = _execute_pooled(
-            tasks,
-            workers,
-            timeout=timeout,
-            retries=retries,
-            on_error="skip",
-            backoff_base=0.05,
-            fault_plan=fault_plan,
-            report=MatrixReport(),
-            entry=_fuzz_entry,
-        )
-        for task in tasks:
-            outcome = outcomes[task]
-            if outcome.status == "skipped":
-                skipped.append((task.seed, outcome.error or "unknown"))
-            elif outcome.stats is not None:
-                divergences.append(outcome.stats)
-    else:
-        for task in tasks:
-            try:
-                found = _fuzz_entry(task, 0, fault_plan)
-            except Exception as exc:  # noqa: BLE001 — batch boundary
-                skipped.append((task.seed, str(exc)))
-                continue
-            if found is not None:
-                divergences.append(found)
-
+    for task in tasks:
+        outcome = outcomes[task]
+        if outcome.status == "skipped":
+            skipped.append((task.seed, outcome.error))
+        elif outcome.stats is not None:
+            divergences.append(outcome.stats)
     return FuzzReport(
         scale=scale,
         checked=[t.seed for t in tasks],

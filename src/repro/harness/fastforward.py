@@ -72,6 +72,7 @@ import functools
 import gc
 import hashlib
 import json
+import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.arch.exceptions import Fault
@@ -740,11 +741,13 @@ class _PrebuildTask:
     """One independent prebuild unit: the chain (or single snapshot)
     one ``(workload, scale, warm config)`` group of requests needs.
 
-    Picklable and hashable so the generic pool executor
-    (:func:`repro.harness.parallel._execute_pooled`) can ship it to a
-    worker and track its retry budget; exposes ``workload`` / ``mode``
-    the way :class:`~repro.harness.parallel.RunRequest` does so the
-    executor's logging needs no special case.
+    Picklable and hashable so the harness's attempt loop
+    (:func:`repro.harness.parallel._execute`) can ship it to a worker
+    and track its retry budget; exposes ``workload`` / ``mode`` the way
+    :class:`~repro.harness.parallel.RunRequest` does so the loop's
+    logging needs no special case, and names its representative
+    request as its ``fault_target``, so a fault plan keyed on a
+    request perturbs the prebuild of that request's chain.
     """
 
     request: object  # the representative RunRequest
@@ -758,11 +761,15 @@ class _PrebuildTask:
     def mode(self) -> str:
         return "prebuild"
 
+    @property
+    def fault_target(self):
+        return self.request
 
-def _prebuild_entry(
-    task: _PrebuildTask, attempt: int, fault_plan, store: SnapshotStore
-) -> int:
-    """Pool worker: build one task's chain into *store*.
+
+def _prebuild_entry(task: _PrebuildTask, store: SnapshotStore) -> int:
+    """The prebuild's executor entry: build one task's chain into
+    *store*, stamped ``built_by="parallel"`` in a pool worker and
+    ``"serial"`` in the harness process.
 
     Top-level so the pool can pickle it. Members land in the store as
     they are captured (see :func:`iter_chain`), so a crashed or
@@ -771,13 +778,16 @@ def _prebuild_entry(
     """
     from repro.harness.parallel import shared_workload
 
-    if fault_plan is not None:
-        fault_plan.perturb(task.request, attempt)
     workload = shared_workload(task.request.workload, task.request.scale)
     config = task.request.resolve_config()
+    pooled = multiprocessing.parent_process() is not None
     built = 0
     for snapshot, hit in iter_chain(
-        workload, config, task.depths, store=store, built_by="parallel"
+        workload,
+        config,
+        task.depths,
+        store=store,
+        built_by="parallel" if pooled else "serial",
     ):
         if snapshot is not None and not hit:
             built += 1
@@ -825,66 +835,34 @@ def prebuild_snapshots(
     multi-region requests, one snapshot *chain* — instead of each
     re-paying it. Returns the number of snapshots built fresh.
 
-    Distinct ``(workload, scale, warm config)`` chains are independent,
-    so when more than one needs building and more than one worker is
-    available they are built concurrently, with the same
-    timeout/retry/broken-pool discipline as the run matrix itself
-    (:func:`repro.harness.parallel._execute_pooled`). A task that
-    exhausts its retries is *skipped*, not raised: prebuilding is an
-    optimization, and whatever error killed it will surface (or not)
-    when the run that needs the snapshot builds it inline. Serial and
-    parallel builds produce byte-identical members — only the
-    digest-masked ``built_by`` stamp differs.
+    Distinct ``(workload, scale, warm config)`` chains are independent
+    items of the run matrix's own attempt loop
+    (:func:`repro.harness.parallel._execute`), with its
+    timeout/retry/broken-pool discipline and fault injection. A
+    disabled store builds in this process (workers would each build
+    into nothing). A task that exhausts its retries is *skipped*, not
+    raised: prebuilding is an optimization, and whatever error killed
+    it will surface (or not) when the run that needs the snapshot
+    builds it inline. Serial and parallel builds produce
+    byte-identical members — only the digest-masked ``built_by``
+    stamp differs.
 
-    *fault_plan* injects deterministic worker faults into the pooled
-    path (chaos tests only), under the same keying as the run matrix:
-    a plan targeting ``(request, attempt)`` perturbs the prebuild
-    attempt for that request's chain.
+    *fault_plan* injects deterministic worker faults (chaos tests
+    only), under the same keying as the run matrix: a plan targeting
+    ``(request, attempt)`` perturbs the prebuild attempt for that
+    request's chain.
     """
+    from repro.harness.parallel import _execute
+
     if store is None:
         store = SnapshotStore()
-    tasks = _prebuild_tasks(requests, store)
-    if not tasks:
-        return 0
-
-    from repro.harness.parallel import (
-        MatrixReport,
-        _execute_pooled,
-        _resolve_retries,
-        _resolve_timeout,
-        resolve_jobs,
-        shared_workload,
+    outcomes = _execute(
+        _prebuild_tasks(requests, store),
+        functools.partial(_prebuild_entry, store=store),
+        jobs=jobs if store.enabled else 1,
+        timeout=timeout,
+        retries=retries,
+        on_error="skip",
+        fault_plan=fault_plan,
     )
-
-    workers = min(resolve_jobs(jobs), len(tasks))
-    if store.enabled and workers > 1:
-        outcomes = _execute_pooled(
-            tasks,
-            workers,
-            timeout=_resolve_timeout(timeout),
-            retries=_resolve_retries(retries),
-            on_error="skip",
-            backoff_base=0.05,
-            fault_plan=fault_plan,
-            report=MatrixReport(),
-            entry=functools.partial(_prebuild_entry, store=store),
-        )
-        return sum(
-            outcome.stats
-            for outcome in outcomes.values()
-            if outcome.status == "ok"
-        )
-
-    # Serial fallback: one worker, a single task, or a disabled store
-    # (workers would each build into nothing — the parent's in-memory
-    # pass is the only one that helps).
-    built = 0
-    for task in tasks:
-        workload = shared_workload(task.request.workload, task.request.scale)
-        config = task.request.resolve_config()
-        for snapshot, hit in iter_chain(
-            workload, config, task.depths, store=store
-        ):
-            if snapshot is not None and not hit:
-                built += 1
-    return built
+    return sum(o.stats for o in outcomes.values() if o.status == "ok")

@@ -18,21 +18,25 @@ bit-identical stats to sequential fresh runs (asserted by
 
 **Failure model.** A large matrix must survive partial failure: one
 OOM-killed worker or one wedged simulation must not discard hours of
-sibling results. :func:`run_matrix` therefore supports per-request
-wall-clock timeouts (``timeout=`` / ``REPRO_TIMEOUT``), bounded retries
+sibling results. One attempt loop, :func:`_execute`, runs the matrix,
+the snapshot-chain prebuild and the fuzz seed batch alike. It supports
+per-item wall-clock timeouts (``timeout=`` / ``REPRO_TIMEOUT``; a
+deadline starts when a worker can start the item), bounded retries
 with exponential backoff and deterministic jitter (``retries=`` /
 ``REPRO_RETRIES``), and broken-pool recovery: when a worker dies the
-pool is respawned and in-flight requests are requeued; when a request
+pool is respawned and in-flight items are requeued; when an item
 times out its workers are terminated and innocent in-flight siblings
 are requeued *without* being charged an attempt. The ``on_error``
-policy decides the endgame for a request that exhausts its retries:
+policy decides the endgame for an item that exhausts its retries:
 ``"raise"`` (default) propagates the typed error; ``"skip"`` records
-the failure and completes the rest of the matrix. Per-request
-outcome/attempts/latency accounting is returned as a
-:class:`MatrixReport` (``return_report=True``); the plain list form
-substitutes empty placeholder stats for skipped requests so partial
-renders survive. Deterministic fault injection for all of the above
-lives in :mod:`repro.harness.faults`.
+the failure and completes the rest. One worker with no timeout runs
+on the loop's in-process backend: the same attempts, made in this
+process, one at a time. Per-request outcome/attempts/latency
+accounting is returned as a :class:`MatrixReport`
+(``return_report=True``); the plain list form substitutes empty
+placeholder stats for skipped requests so partial renders survive.
+Deterministic fault injection for all of the above lives in
+:mod:`repro.harness.faults`.
 
 **Service mode.** When ``REPRO_SERVICE_URL`` (the ``--service`` CLI
 flag) names a running experiment service (:mod:`repro.service`),
@@ -54,11 +58,16 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.errors import RunTimeoutError, SimulationError, WorkerCrashError
+from repro.errors import RunTimeoutError, WorkerCrashError
 
 log = logging.getLogger(__name__)
 
@@ -431,7 +440,7 @@ class _WindowUnit:
     depth: int
 
     @property
-    def workload(self) -> str:  # log-line protocol of _execute_pooled
+    def workload(self) -> str:  # log-line protocol of _execute
         return self.request.workload
 
     @property
@@ -508,12 +517,10 @@ def _assemble_outcome(
     )
 
 
-def _pool_entry(item, attempt: int, fault_plan, snapshots=None) -> RunStats:
-    """Pool worker: apply any planned fault, then run the item — an
-    ordinary :class:`RunRequest` or one :class:`_WindowUnit` of an
-    exploded multi-region request."""
-    if fault_plan is not None:
-        fault_plan.perturb(item, attempt)
+def _run_item(item, snapshots=None) -> RunStats:
+    """The matrix's executor entry: run an ordinary
+    :class:`RunRequest` or one :class:`_WindowUnit` of an exploded
+    multi-region request. Top-level so the pool can pickle it."""
     if isinstance(item, _WindowUnit):
         item = item.request
     return execute_request(item, snapshots)
@@ -556,18 +563,24 @@ def _resolve_on_error(on_error: str | None) -> str:
     return on_error
 
 
-def _backoff_delay(base: float, request: RunRequest, attempt: int) -> float:
+#: First retry delay in seconds; each further retry doubles it (see
+#: :func:`_backoff_delay`). Tests lower it to run faster.
+BACKOFF_BASE = 0.05
+
+
+def _backoff_delay(request: RunRequest, attempt: int) -> float:
     """Exponential backoff with deterministic jitter.
 
     The jitter is drawn from the request identity and attempt number,
     so two workers retrying different requests desynchronize without
     any nondeterminism entering the harness.
     """
-    if base <= 0:
+    if BACKOFF_BASE <= 0:
         return 0.0
     digest = hashlib.sha256(f"{attempt}:{request!r}".encode()).digest()
     jitter = int.from_bytes(digest[:4], "big") / 2**32
-    return min(base * (2 ** max(attempt - 1, 0)) * (1.0 + jitter), 30.0)
+    delay = BACKOFF_BASE * (2 ** max(attempt - 1, 0)) * (1.0 + jitter)
+    return min(delay, 30.0)
 
 
 @dataclass
@@ -727,7 +740,6 @@ def run_matrix(
     timeout: float | None = None,
     retries: int | None = None,
     on_error: str | None = None,
-    backoff_base: float = 0.05,
     fault_plan=None,
     return_report: bool = False,
 ):
@@ -736,9 +748,10 @@ def run_matrix(
     Identical requests are simulated once. Cached results are reused
     (pass a disabled :class:`RunCache` to opt out); warmed snapshots
     are built and restored in ``cache.snapshots``, under the cache's
-    own root, even when it is disabled. Fresh runs go to a
-    process pool when more than one worker is useful (or whenever a
-    ``timeout`` is set — in-process execution cannot be preempted).
+    own root, even when it is disabled. Fresh runs go through the one
+    attempt loop, :func:`_execute`: to a process pool when more than
+    one worker is useful or a ``timeout`` is set (in-process execution
+    cannot be preempted), else in this process, in input order.
 
     **Window-parallel sampling.** With more than one worker, every
     multi-region request is exploded after the chain prebuild into
@@ -756,7 +769,8 @@ def run_matrix(
     * ``timeout`` — per-request wall-clock budget in seconds
       (``REPRO_TIMEOUT`` env; ``None`` = unbounded).
     * ``retries`` — extra attempts per request after a crash, timeout,
-      or transient error (``REPRO_RETRIES`` env; default 0).
+      or transient error (``REPRO_RETRIES`` env; default 0), backing
+      off from :data:`BACKOFF_BASE` seconds.
     * ``on_error`` — ``"raise"`` (default, ``REPRO_ON_ERROR`` env) or
       ``"skip"``.
     * ``fault_plan`` — a :class:`~repro.harness.faults.FaultPlan` for
@@ -767,9 +781,6 @@ def run_matrix(
     requests = list(requests)
     if cache is None:
         cache = RunCache()
-    timeout = _resolve_timeout(timeout)
-    retries = _resolve_retries(retries)
-    on_error = _resolve_on_error(on_error)
 
     if fault_plan is not None:
         fault_plan.corrupt_cache_entries(cache, requests)
@@ -789,6 +800,7 @@ def run_matrix(
 
     report = MatrixReport()
     service = _service_url()
+    executed: dict = {}
     if pending and service is not None:
         # Thin-client mode (``--service`` / ``REPRO_SERVICE_URL``): ship
         # the misses to the experiment service and let its workers pay
@@ -797,16 +809,9 @@ def run_matrix(
         # bit-identical (checksummed pickles) and are re-published into
         # the local cache below, so a later offline run is a pure hit.
         executed = _execute_service(
-            pending, service, timeout=timeout, on_error=on_error
+            pending, service, timeout, on_error, report
         )
-        for request, outcome in executed.items():
-            if outcome.status == "ok":
-                cache.put(request, outcome.stats)
-            else:
-                _skipped_log.append(outcome)
-            resolved[request] = outcome
-        pending = []
-    if pending:
+    elif pending:
         # Build each distinct warmed snapshot — for multi-region
         # requests, each distinct snapshot *chain* — once before
         # fanning out: every sweep point / pool worker then restores
@@ -824,61 +829,37 @@ def run_matrix(
             timeout=timeout,
             retries=retries,
         )
-        # Two-level scheduling: explode multi-region requests into
-        # per-window units (first-class pool siblings of the plain
-        # requests), answering already-measured windows from the
-        # ``windows`` cache namespace.
-        workers = resolve_jobs(jobs)
+        # Two-level scheduling: with more than one worker, explode
+        # multi-region requests into per-window units (first-class
+        # siblings of the plain requests), answering already-measured
+        # windows from the ``windows`` cache namespace.
         plans: dict[RunRequest, list[_WindowUnit]] = {}
         window_cached: dict[str, RunStats] = {}
         units_by_key: dict[str, _WindowUnit] = {}
-        if workers > 1:
-            multi = [r for r in pending if r.sample_regions >= 2]
-            if multi:
-                for request in multi:
-                    units = window_schedule(request)
-                    plans[request] = units
-                    for unit in units:
-                        if (
-                            unit.key in window_cached
-                            or unit.key in units_by_key
-                        ):
-                            continue
-                        stats = cache.windows.get(unit.key)
-                        if stats is not None:
-                            window_cached[unit.key] = stats
-                        else:
-                            units_by_key[unit.key] = unit
+        if resolve_jobs(jobs) > 1:
+            for request in pending:
+                if request.sample_regions < 2:
+                    continue
+                plans[request] = window_schedule(request)
+                for unit in plans[request]:
+                    if unit.key in window_cached or unit.key in units_by_key:
+                        continue
+                    stats = cache.windows.get(unit.key)
+                    if stats is not None:
+                        window_cached[unit.key] = stats
+                    else:
+                        units_by_key[unit.key] = unit
         plain = [r for r in pending if r not in plans]
-        pool_items: list = plain + list(units_by_key.values())
-        executed: dict = {}
-        if pool_items:
-            workers = min(workers, len(pool_items))
-            use_pool = workers > 1 or timeout is not None
-            if use_pool:
-                executed = _execute_pooled(
-                    pool_items,
-                    workers,
-                    timeout=timeout,
-                    retries=retries,
-                    on_error=on_error,
-                    backoff_base=backoff_base,
-                    fault_plan=fault_plan,
-                    report=report,
-                    entry=functools.partial(
-                        _pool_entry, snapshots=cache.snapshots
-                    ),
-                )
-            else:
-                executed = _execute_inline(
-                    pool_items,
-                    retries=retries,
-                    on_error=on_error,
-                    backoff_base=backoff_base,
-                    fault_plan=fault_plan,
-                    report=report,
-                    snapshots=cache.snapshots,
-                )
+        executed = _execute(
+            plain + list(units_by_key.values()),
+            functools.partial(_run_item, snapshots=cache.snapshots),
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            on_error=on_error,
+            fault_plan=fault_plan,
+            report=report,
+        )
         # Publish fresh windows to their namespace, then reassemble
         # each exploded request in depth order (halt-drop applied at
         # assembly). Failed windows surface on the parent outcome.
@@ -893,12 +874,12 @@ def run_matrix(
             executed[request] = _assemble_outcome(
                 request, units, window_cached, unit_outcomes
             )
-        for request, outcome in executed.items():
-            if outcome.status == "ok":
-                cache.put(request, outcome.stats)
-            else:
-                _skipped_log.append(outcome)
-            resolved[request] = outcome
+    for request, outcome in executed.items():
+        if outcome.status == "ok":
+            cache.put(request, outcome.stats)
+        else:
+            _skipped_log.append(outcome)
+        resolved[request] = outcome
 
     report.outcomes = [resolved[request] for request in requests]
     cache.flush_counters()
@@ -944,151 +925,114 @@ def _execute_service(
     pending,
     url: str,
     timeout: float | None,
-    on_error: str,
+    on_error: str | None,
+    report: MatrixReport,
 ) -> dict[RunRequest, RequestOutcome]:
     """Run *pending* through a remote experiment service.
 
     One sweep submission, polled until the workers publish every
     result. The per-request ``timeout`` scales into a whole-sweep
     deadline (the client cannot preempt a remote worker, only give up
-    waiting); jobs the service marks failed — and every job, if the
-    service itself is unreachable — land on the usual ``on_error``
-    policy as :class:`~repro.errors.ServiceError`.
+    waiting). The sweep is each request's one attempt: its results are
+    collected through :func:`_execute` in this process with no retries,
+    so jobs the service marks failed — and every job, if the service
+    itself is unreachable — land on the usual ``on_error`` policy as
+    :class:`~repro.errors.ServiceError`.
     """
     from repro.errors import ServiceError
     from repro.harness.cache import fingerprint
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(url)
-    deadline = timeout * max(1, len(pending)) if timeout else None
-    start = time.monotonic()
+    limit = _resolve_timeout(timeout)
+    deadline = limit * max(1, len(pending)) if limit else None
     results: dict[str, RunStats] = {}
     failed: dict[str, str] = {}
     sweep_error: Exception | None = None
     try:
-        results, failed = client.run(pending, deadline=deadline)
+        results, failed = ServiceClient(url).run(pending, deadline=deadline)
     except ServiceError as exc:
         sweep_error = exc
 
-    outcomes: dict[RunRequest, RequestOutcome] = {}
-    latency = time.monotonic() - start
-    for request in pending:
+    def collect(request: RunRequest) -> RunStats:
         key = fingerprint(request)
         stats = results.get(key)
         if stats is not None:
-            outcomes[request] = RequestOutcome(
-                request, "ok", stats, attempts=1, latency=latency
-            )
-            continue
-        error: Exception
+            return stats
         if key in failed:
-            error = ServiceError(
+            raise ServiceError(
                 f"service failed job {key[:12]}: {failed[key]}", key=key
             )
-        elif sweep_error is not None:
-            error = sweep_error
-        else:
-            error = ServiceError(
-                f"service returned no result for {key[:12]}", key=key
-            )
-        outcomes[request] = _finalize_failure(
-            request, error, attempts=1, latency=latency, on_error=on_error
+        if sweep_error is not None:
+            raise sweep_error
+        raise ServiceError(
+            f"service returned no result for {key[:12]}", key=key
         )
-    return outcomes
 
-
-def _execute_inline(
-    pending,
-    retries: int,
-    on_error: str,
-    backoff_base: float,
-    fault_plan,
-    report: MatrixReport,
-    snapshots,
-) -> dict[RunRequest, RequestOutcome]:
-    """Sequential in-process execution with retry/backoff.
-
-    Used when one worker suffices and no timeout is requested (an
-    in-process simulation cannot be preempted). Injected crashes are
-    surfaced as :class:`WorkerCrashError` instead of killing the
-    harness process.
-    """
-    outcomes: dict[RunRequest, RequestOutcome] = {}
-    for request in pending:
-        start = time.monotonic()
-        error: Exception | None = None
-        for attempt in range(retries + 1):
-            if attempt:
-                report.retries += 1
-                time.sleep(_backoff_delay(backoff_base, request, attempt))
-            try:
-                if fault_plan is not None:
-                    fault_plan.perturb(request, attempt, in_process=True)
-                stats = execute_request(
-                    request.request
-                    if isinstance(request, _WindowUnit)
-                    else request,
-                    snapshots,
-                )
-            except Exception as exc:  # noqa: BLE001 — retry boundary
-                error = exc
-                log.warning(
-                    "request %s/%s attempt %d failed: %s",
-                    request.workload,
-                    request.mode,
-                    attempt + 1,
-                    exc,
-                )
-                continue
-            outcomes[request] = RequestOutcome(
-                request,
-                "ok",
-                stats,
-                attempts=attempt + 1,
-                latency=time.monotonic() - start,
-            )
-            break
-        else:
-            outcomes[request] = _finalize_failure(
-                request,
-                error,
-                attempts=retries + 1,
-                latency=time.monotonic() - start,
-                on_error=on_error,
-            )
-    return outcomes
+    # timeout=0: nothing is left to preempt, so the in-process backend.
+    return _execute(
+        pending,
+        collect,
+        jobs=1,
+        timeout=0,
+        retries=0,
+        on_error=on_error,
+        report=report,
+    )
 
 
 def _finalize_failure(
-    request: RunRequest,
-    error: Exception | None,
-    attempts: int,
-    latency: float,
-    on_error: str,
+    item, error: Exception, attempts: int, latency: float, on_error: str
 ) -> RequestOutcome:
-    """A request exhausted its retries: raise or record the skip."""
+    """An item exhausted its retries: raise or record the skip."""
     if on_error == "raise":
-        raise error if error is not None else SimulationError(
-            f"request {request} failed with no recorded error"
-        )
+        raise error
     log.warning(
         "skipping request %s/%s after %d attempt(s): %s",
-        request.workload,
-        request.mode,
+        item.workload,
+        item.mode,
         attempts,
         error,
     )
     return RequestOutcome(
-        request,
+        item,
         "skipped",
         None,
         attempts=attempts,
-        error=str(error) if error is not None else None,
+        error=str(error),
         latency=latency,
     )
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _attempt(entry, item, attempt: int, fault_plan, in_process: bool):
+    """One attempt at *item*: inject its planned fault, then return
+    ``entry(item)``. Runs in a pool worker, or in this process on the
+    in-process backend, where a planned crash raises
+    :class:`WorkerCrashError` instead of exiting the harness."""
+    if fault_plan is not None:
+        target = getattr(item, "fault_target", item)
+        fault_plan.perturb(target, attempt, in_process=in_process)
+    return entry(item)
+
+
+class _InProcess:
+    """The attempt loop's one-worker backend: each submitted attempt
+    runs in this process, at submit, and comes back as a settled
+    :class:`~concurrent.futures.Future`. Nothing can preempt it, so
+    the loop uses it only when no timeout is set."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — the loop's retry boundary
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
+
+
+def _kill_pool(pool) -> None:
     """Terminate a pool's workers and abandon it.
 
     ``shutdown`` alone never interrupts a running task, so a hung or
@@ -1104,102 +1048,135 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _execute_pooled(
-    pending,
-    workers: int,
-    timeout: float | None,
-    retries: int,
-    on_error: str,
-    backoff_base: float,
-    fault_plan,
-    report: MatrixReport,
-    entry=_pool_entry,
-) -> dict[RunRequest, RequestOutcome]:
-    """Pool execution with timeouts, retries, and broken-pool recovery.
+def _execute(
+    items,
+    entry,
+    *,
+    jobs: int | None = None,
+    timeout: float | None = None,
+    retries: int | None = None,
+    on_error: str | None = None,
+    fault_plan=None,
+    report: MatrixReport | None = None,
+) -> dict:
+    """Run ``entry(item)`` for each of *items* under the failure model:
+    the harness's one attempt loop. Returns ``{item: RequestOutcome}``.
 
-    *entry* is the picklable worker function ``(item, attempt,
-    fault_plan) -> result``; the default runs a :class:`RunRequest`,
-    and the snapshot prebuilder passes its own chain-building entry
-    with ``_PrebuildTask`` items (anything hashable exposing
-    ``workload`` / ``mode`` for the log lines works).
+    *entry* is an ``item -> result`` function, picklable when a pool
+    runs it: the matrix's :func:`_run_item`, the snapshot prebuild's
+    chain builder, the fuzz batch's seed check. Items are hashable and expose ``workload`` /
+    ``mode`` for the log lines; a planned fault targets the item's
+    ``fault_target`` if it has one, else the item. ``jobs``,
+    ``timeout``, ``retries`` and ``on_error`` are resolved here, from
+    the argument or else the ``REPRO_*`` env.
+
+    The backend is a process pool of ``min(jobs, len(items))`` workers
+    or, at one worker with no timeout, :class:`_InProcess`: the same
+    attempts made in this process, one at a time, in input order (the
+    ``jobs=1`` bit-identity oracle).
 
     Invariants:
 
-    * Every submission charges the request one attempt. A request whose
+    * An item's deadline starts at submit, so with a timeout at most
+      ``workers`` items are in flight and a worker can start each one
+      when it is submitted. Without one the pool is fed every eligible
+      item.
+    * Every submission charges the item one attempt. An item whose
       attempt is *aborted through no fault of its own* (its pool was
       torn down because a sibling timed out) is refunded the attempt
       and simply requeued, so collateral damage never consumes retry
       budget. A broken pool cannot attribute the crash, so there every
-      in-flight request is charged (this is what bounds respawn loops).
-    * The loop terminates: each iteration either resolves a request,
-      charges an attempt (bounded by ``(retries + 1)`` per request), or
+      in-flight item is charged (this is what bounds respawn loops).
+    * The loop terminates: each iteration either resolves an item,
+      charges an attempt (bounded by ``(retries + 1)`` per item), or
       performs a refund that is paid for by a charged timeout/crash.
     """
-    outcomes: dict[RunRequest, RequestOutcome] = {}
-    attempts: dict[RunRequest, int] = {request: 0 for request in pending}
-    first_submit: dict[RunRequest, float] = {}
-    last_error: dict[RunRequest, Exception] = {}
-    not_before: dict[RunRequest, float] = {}
-    queue = deque(pending)
-    pool = ProcessPoolExecutor(max_workers=workers)
-    running: dict[object, tuple[RunRequest, float | None]] = {}
+    timeout = _resolve_timeout(timeout)
+    retries = _resolve_retries(retries)
+    on_error = _resolve_on_error(on_error)
+    if not items:
+        return {}
+    workers = min(resolve_jobs(jobs), len(items))
+    in_process = workers == 1 and timeout is None
+    in_flight = workers if timeout is not None or in_process else len(items)
+    if report is None:
+        report = MatrixReport()
 
-    def fail_or_requeue(request: RunRequest, error: Exception) -> None:
+    def new_backend():
+        if in_process:
+            return _InProcess()
+        return ProcessPoolExecutor(max_workers=workers)
+
+    outcomes: dict = {}
+    attempts = {item: 0 for item in items}
+    first_submit: dict = {}
+    not_before: dict = {}
+    queue = deque(items)
+    pool = new_backend()
+    running: dict[Future, tuple[object, float | None]] = {}
+
+    def fail_or_requeue(item, error: Exception) -> None:
         """One attempt failed for real: retry with backoff or finalize."""
-        last_error[request] = error
-        if attempts[request] <= retries:
+        if attempts[item] <= retries:
             report.retries += 1
-            delay = _backoff_delay(backoff_base, request, attempts[request])
-            not_before[request] = time.monotonic() + delay
-            queue.append(request)
+            delay = _backoff_delay(item, attempts[item])
+            not_before[item] = time.monotonic() + delay
+            queue.append(item)
             log.warning(
                 "request %s/%s attempt %d failed (%s); retrying in %.2fs",
-                request.workload,
-                request.mode,
-                attempts[request],
+                item.workload,
+                item.mode,
+                attempts[item],
                 error,
                 delay,
             )
         else:
-            outcomes[request] = _finalize_failure(
-                request,
+            outcomes[item] = _finalize_failure(
+                item,
                 error,
-                attempts=attempts[request],
-                latency=time.monotonic() - first_submit[request],
+                attempts=attempts[item],
+                latency=time.monotonic() - first_submit[item],
                 on_error=on_error,
             )
 
     try:
         while queue or running:
             now = time.monotonic()
-            # Submit every eligible queued request (the pool itself
-            # bounds concurrency to `workers`).
+            # Submit eligible queued items, up to the in-flight bound
+            # (past it, the pool itself bounds concurrency to `workers`).
             blocked_until: float | None = None
             for _ in range(len(queue)):
-                request = queue.popleft()
-                eligible_at = not_before.get(request, 0.0)
+                if len(running) >= in_flight:
+                    break
+                item = queue.popleft()
+                eligible_at = not_before.get(item, 0.0)
                 if eligible_at > now:
-                    queue.append(request)
+                    queue.append(item)
                     if blocked_until is None or eligible_at < blocked_until:
                         blocked_until = eligible_at
                     continue
-                attempts[request] += 1
-                first_submit.setdefault(request, now)
+                attempts[item] += 1
+                first_submit.setdefault(item, now)
                 try:
                     future = pool.submit(
-                        entry, request, attempts[request] - 1, fault_plan
+                        _attempt,
+                        entry,
+                        item,
+                        attempts[item] - 1,
+                        fault_plan,
+                        in_process,
                     )
                 except RuntimeError as exc:
                     # Pool broke between iterations; recover below.
-                    attempts[request] -= 1
-                    queue.append(request)
+                    attempts[item] -= 1
+                    queue.append(item)
                     log.warning("submit failed (%s); respawning pool", exc)
                     _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_backend()
                     report.pool_respawns += 1
                     break
                 deadline = now + timeout if timeout is not None else None
-                running[future] = (request, deadline)
+                running[future] = (item, deadline)
             if not running:
                 if blocked_until is not None:
                     time.sleep(max(0.0, blocked_until - time.monotonic()))
@@ -1219,28 +1196,28 @@ def _execute_pooled(
 
             pool_broken = False
             for future in done:
-                request, _deadline = running.pop(future)
+                item, _deadline = running.pop(future)
                 try:
-                    stats = future.result()
+                    result = future.result()
                 except BrokenProcessPool:
                     pool_broken = True
                     fail_or_requeue(
-                        request,
+                        item,
                         WorkerCrashError(
                             "worker process died mid-request "
-                            f"(attempt {attempts[request]})",
-                            attempts=attempts[request],
+                            f"(attempt {attempts[item]})",
+                            attempts=attempts[item],
                         ),
                     )
                 except Exception as exc:  # noqa: BLE001 — retry boundary
-                    fail_or_requeue(request, exc)
+                    fail_or_requeue(item, exc)
                 else:
-                    outcomes[request] = RequestOutcome(
-                        request,
+                    outcomes[item] = RequestOutcome(
+                        item,
                         "ok",
-                        stats,
-                        attempts=attempts[request],
-                        latency=time.monotonic() - first_submit[request],
+                        result,
+                        attempts=attempts[item],
+                        latency=time.monotonic() - first_submit[item],
                     )
 
             now = time.monotonic()
@@ -1251,39 +1228,39 @@ def _execute_pooled(
             ]
             if timed_out:
                 for future in timed_out:
-                    request, _deadline = running.pop(future)
+                    item, _deadline = running.pop(future)
                     fail_or_requeue(
-                        request,
+                        item,
                         RunTimeoutError(
                             f"request exceeded {timeout:.1f}s "
-                            f"(attempt {attempts[request]})",
+                            f"(attempt {attempts[item]})",
                             timeout=timeout,
-                            attempts=attempts[request],
+                            attempts=attempts[item],
                         ),
                     )
             if pool_broken or timed_out:
                 # The pool is unusable (broken) or must be preempted
                 # (timeout): tear it down and requeue the survivors.
                 for future in list(running):
-                    request, _deadline = running.pop(future)
+                    item, _deadline = running.pop(future)
                     if pool_broken:
                         # Cannot attribute the crash: charge everyone
                         # (bounds the respawn loop), retry or finalize.
                         fail_or_requeue(
-                            request,
+                            item,
                             WorkerCrashError(
                                 "process pool broke while request was "
-                                f"in flight (attempt {attempts[request]})",
-                                attempts=attempts[request],
+                                f"in flight (attempt {attempts[item]})",
+                                attempts=attempts[item],
                             ),
                         )
                     else:
                         # Innocent victim of a sibling's timeout:
                         # refund the attempt and requeue.
-                        attempts[request] -= 1
-                        queue.append(request)
+                        attempts[item] -= 1
+                        queue.append(item)
                 _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
+                pool = new_backend()
                 report.pool_respawns += 1
     finally:
         _kill_pool(pool)

@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.errors import SimulationError
+from repro.harness import parallel
 from repro.harness.cache import RunCache
 from repro.harness.faults import FaultKind, FaultPlan, request_key
 from repro.harness.parallel import (
@@ -90,16 +91,16 @@ def test_targeting_builds_exact_plan():
 # ---------------------------------------------------------------------------
 
 
-def test_worker_crash_is_retried_to_bit_identical_stats():
+def test_worker_crash_is_retried_to_bit_identical_stats(monkeypatch):
     """A worker killed mid-request (os._exit) is respawned and the
     request retried; final stats match a fault-free sequential run."""
     plan = FaultPlan.targeting({(VPR_BASE, 0): FaultKind.CRASH})
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
     report = run_matrix(
         MATRIX,
         jobs=2,
         cache=RunCache(enabled=False),
         retries=2,
-        backoff_base=0.01,
         fault_plan=plan,
         return_report=True,
     )
@@ -112,16 +113,16 @@ def test_worker_crash_is_retried_to_bit_identical_stats():
         assert same_stats(outcome.stats, execute_request(request))
 
 
-def test_transient_failure_inline_retry():
+def test_transient_failure_inline_retry(monkeypatch):
     """jobs=1 runs in-process; a transient SimulationError on the first
     attempt is retried with backoff and succeeds."""
     plan = FaultPlan.targeting({(GZIP_BASE, 0): FaultKind.FLAKY})
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.0)
     report = run_matrix(
         [GZIP_BASE],
         jobs=1,
         cache=RunCache(enabled=False),
         retries=1,
-        backoff_base=0.0,
         fault_plan=plan,
         return_report=True,
     )
@@ -131,19 +132,19 @@ def test_transient_failure_inline_retry():
     assert same_stats(outcome.stats, execute_request(GZIP_BASE))
 
 
-def test_hang_is_timed_out_and_retried():
+def test_hang_is_timed_out_and_retried(monkeypatch):
     """A hung worker is terminated at the timeout and the request
     retried on a fresh pool."""
     plan = FaultPlan.targeting(
         {(VPR_BASE, 0): FaultKind.HANG}, hang_seconds=60.0
     )
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
     report = run_matrix(
         [VPR_BASE, GZIP_BASE],
         jobs=2,
         cache=RunCache(enabled=False),
         timeout=10.0,
         retries=1,
-        backoff_base=0.01,
         fault_plan=plan,
         return_report=True,
     )
@@ -153,32 +154,32 @@ def test_hang_is_timed_out_and_retried():
     assert same_stats(by_request[VPR_BASE].stats, execute_request(VPR_BASE))
 
 
-def test_exhausted_retries_raise_by_default():
+def test_exhausted_retries_raise_by_default(monkeypatch):
     plan = FaultPlan.targeting(
         {(GZIP_BASE, 0): FaultKind.FLAKY, (GZIP_BASE, 1): FaultKind.FLAKY}
     )
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.0)
     with pytest.raises(SimulationError):
         run_matrix(
             [GZIP_BASE],
             jobs=1,
             cache=RunCache(enabled=False),
             retries=1,
-            backoff_base=0.0,
             fault_plan=plan,
         )
 
 
-def test_on_error_skip_records_hole_and_finishes_matrix():
+def test_on_error_skip_records_hole_and_finishes_matrix(monkeypatch):
     reset_skipped_log()
     plan = FaultPlan.targeting(
         {(VPR_BASE, 0): FaultKind.CRASH, (VPR_BASE, 1): FaultKind.CRASH}
     )
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.0)
     results = run_matrix(
         [VPR_BASE, GZIP_BASE],
         jobs=1,
         cache=RunCache(enabled=False),
         retries=1,
-        backoff_base=0.0,
         on_error="skip",
         fault_plan=plan,
     )
@@ -204,6 +205,30 @@ def test_cache_corruption_quarantined_and_rerun(tmp_path):
     assert same_stats(result, warm[0])
     # The fresh rerun repopulated the cache: next get is a clean hit.
     assert cache.get(VPR_BASE) is not None
+
+
+def test_queued_requests_get_their_full_timeout():
+    """A deadline starts when a worker can start the request, not when
+    it was queued: six requests that each hang ~1 s under a 2.5 s
+    timeout on 2 workers all finish on their first attempt (the last
+    two used to time out waiting behind the first four)."""
+    requests = [
+        RunRequest(workload=name, scale=0.02)
+        for name in ("gzip", "mcf", "bzip2", "twolf", "gap", "parser")
+    ]
+    plan = FaultPlan(hang_rate=1.0, hang_seconds=1.0)
+    report = run_matrix(
+        requests,
+        jobs=2,
+        cache=RunCache(enabled=False),
+        timeout=2.5,
+        on_error="skip",
+        fault_plan=plan,
+        return_report=True,
+    )
+    assert [o.status for o in report.outcomes] == ["ok"] * len(requests)
+    assert [o.attempts for o in report.outcomes] == [1] * len(requests)
+    assert report.pool_respawns == 0
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +284,14 @@ def test_prebuild_crash_and_hang_converge_to_serial_digests(tmp_path):
     assert _digests(chaos_store) == serial
 
 
-def test_prebuild_exhausted_faults_skip_not_raise(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_prebuild_exhausted_faults_skip_not_raise(tmp_path, jobs):
     """Prebuilding is an optimization: a chain whose every attempt
     fails is skipped (the run that needs it builds inline), and the
-    other chain still lands in full. (Transient in-worker failures, not
-    crashes: a crashed worker breaks the pool and legitimately charges
-    the innocent in-flight sibling an attempt.)"""
+    other chain still lands in full, at any ``jobs``. (Transient
+    in-worker failures, not crashes: a crashed worker breaks the pool
+    and legitimately charges the innocent in-flight sibling an
+    attempt.)"""
     from repro.harness.fastforward import SnapshotStore, prebuild_snapshots
 
     sampled = [
@@ -281,10 +308,9 @@ def test_prebuild_exhausted_faults_skip_not_raise(tmp_path):
     )
     chaos_store = SnapshotStore(tmp_path / "chaos")
     prebuild_snapshots(
-        sampled, store=chaos_store, jobs=2, retries=2, fault_plan=plan
+        sampled, store=chaos_store, jobs=jobs, retries=2, fault_plan=plan
     )
-    chaos = _digests(chaos_store)
-    assert set(_digests(serial_store).items()) <= set(chaos.items())
+    assert _digests(chaos_store) == _digests(serial_store)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +318,7 @@ def test_prebuild_exhausted_faults_skip_not_raise(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_combined_crash_timeout_and_corruption_converge(tmp_path):
+def test_combined_crash_timeout_and_corruption_converge(tmp_path, monkeypatch):
     """ISSUE acceptance: a matrix with an injected worker crash, an
     injected hang (timed out), and a corrupted cache entry completes
     with bit-identical RunStats for every request, and the report
@@ -313,13 +339,13 @@ def test_combined_crash_timeout_and_corruption_converge(tmp_path):
         corrupt={GZIP_BASE},
         hang_seconds=60.0,
     )
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
     report = run_matrix(
         MATRIX,
         jobs=2,
         cache=cache,
         timeout=10.0,
         retries=2,
-        backoff_base=0.01,
         on_error="raise",
         fault_plan=plan,
         return_report=True,

@@ -90,7 +90,7 @@ def test_window_parallel_halt_drop_matches_serial(cache_env):
     assert outcome.windows == 4
 
 
-def test_failed_window_past_the_halt_is_never_needed(cache_env):
+def test_failed_window_past_the_halt_is_never_needed(cache_env, monkeypatch):
     """mcf@0.2 halts at ~11.1k instructions, so of depths 0/5k/10k/15k/
     20k the 15k window is the short one and the 20k window is never
     looked up: failing it on every attempt leaves the parent ``ok`` and
@@ -106,12 +106,12 @@ def test_failed_window_past_the_halt_is_never_needed(cache_env):
         (units[4], 0): FaultKind.FLAKY,
         (units[4], 1): FaultKind.FLAKY,
     })
+    monkeypatch.setattr("repro.harness.parallel.BACKOFF_BASE", 0.01)
     report = run_matrix(
         [request],
         jobs=2,
         cache=RunCache(enabled=False),
         retries=1,
-        backoff_base=0.01,
         on_error="skip",
         fault_plan=plan,
         return_report=True,
@@ -210,7 +210,7 @@ def test_window_jobs_is_not_part_of_the_fingerprint():
 # ----------------------------------------------------------------------
 
 
-def test_window_crash_consumes_retry_and_converges(cache_env):
+def test_window_crash_consumes_retry_and_converges(cache_env, monkeypatch):
     """A worker killed while measuring one window (os._exit mid-pool)
     consumes retry budget and the matrix still converges to the
     undisturbed serial aggregate, attempts accounted."""
@@ -220,12 +220,12 @@ def test_window_crash_consumes_retry_and_converges(cache_env):
     )
     units = window_schedule(request)
     plan = FaultPlan.targeting({(units[1], 0): FaultKind.CRASH})
+    monkeypatch.setattr("repro.harness.parallel.BACKOFF_BASE", 0.01)
     report = run_matrix(
         [request],
         jobs=2,
         cache=RunCache(enabled=False),
         retries=1,
-        backoff_base=0.01,
         fault_plan=plan,
         return_report=True,
     )
@@ -241,7 +241,7 @@ def test_window_crash_consumes_retry_and_converges(cache_env):
     assert same_stats(undisturbed, outcome.stats)
 
 
-def test_window_crash_exhausting_retries_skips_parent(cache_env):
+def test_window_crash_exhausting_retries_skips_parent(cache_env, monkeypatch):
     """A window that crashes on every attempt fails its parent request
     under on_error='skip' — the hole is visible, never silent."""
     request = sampled(
@@ -253,12 +253,12 @@ def test_window_crash_exhausting_retries_skips_parent(cache_env):
         (units[2], 0): FaultKind.CRASH,
         (units[2], 1): FaultKind.CRASH,
     })
+    monkeypatch.setattr("repro.harness.parallel.BACKOFF_BASE", 0.01)
     report = run_matrix(
         [request],
         jobs=2,
         cache=RunCache(enabled=False),
         retries=1,
-        backoff_base=0.01,
         on_error="skip",
         fault_plan=plan,
         return_report=True,
