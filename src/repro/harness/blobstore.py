@@ -29,12 +29,10 @@ import os
 import pickle
 from pathlib import Path
 
+from repro import settings
 from repro.errors import CacheCorruptionError
 
 log = logging.getLogger(__name__)
-
-#: Default cache root (relative to the current working directory).
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Subdirectory of the cache root where corrupt entries are moved.
 CORRUPT_SUBDIR = "corrupt"
@@ -57,10 +55,10 @@ DECODE_ERRORS = (
 
 
 def resolve_cache_root(cache_root: str | os.PathLike | None = None) -> Path:
-    """The cache root: *cache_root* if given, else ``REPRO_CACHE_DIR``,
-    else ``.repro_cache``. The only reader of ``REPRO_CACHE_DIR``."""
+    """The cache root: *cache_root* if given, else the
+    ``REPRO_CACHE_DIR`` knob (default ``.repro_cache``)."""
     if cache_root is None:
-        cache_root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+        cache_root = settings.get("cache_dir")
     return Path(cache_root)
 
 

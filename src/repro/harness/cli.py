@@ -34,7 +34,8 @@ requests with backoff, and ``--on-error skip`` finishes the matrix
 around a request that exhausted its retries (the run then exits with
 code 3 and lists the holes). A simulated-machine deadlock exits with
 code 2 and the core's next-event diagnostic instead of a traceback.
-Env mirrors: ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_ON_ERROR``.
+Each of these knob flags sets a ``REPRO_*`` variable of the same
+meaning; :mod:`repro.settings` declares them all.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ import pathlib
 import sys
 import time
 
+from repro import settings
 from repro.errors import DeadlockError
 from repro.harness import experiments
 from repro.harness.cache import RunCache
 from repro.harness.parallel import (
-    ON_ERROR_POLICIES,
     RunRequest,
     reset_skipped_log,
     skipped_outcomes,
@@ -104,116 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
             "lists stored minimal repros"
         ),
     )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="workload scale (default: REPRO_SCALE env or 0.35; 1.0 = full)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_JOBS env or CPU count)",
-    )
+    for setting in settings.SETTINGS:
+        if setting.flag is None:
+            continue
+        if setting.parse is settings.boolean:
+            parser.add_argument(
+                setting.flag, dest=setting.name, action="store_true",
+                help=setting.help,
+            )
+        else:
+            parser.add_argument(
+                setting.flag, dest=setting.name, type=setting.parse,
+                default=None, metavar=setting.metavar,
+                choices=setting.choices, help=setting.help,
+            )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore the on-disk run cache (always simulate afresh)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-request wall-clock budget; a simulation over budget is "
-            "terminated and retried (default: REPRO_TIMEOUT env or none)"
-        ),
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "extra attempts per request after a crash/timeout/transient "
-            "failure (default: REPRO_RETRIES env or 0)"
-        ),
-    )
-    parser.add_argument(
-        "--on-error",
-        choices=ON_ERROR_POLICIES,
-        default=None,
-        help=(
-            "what to do when a request exhausts its retries: 'raise' "
-            "aborts the experiment (default), 'skip' records the failure, "
-            "finishes the matrix, and exits with code 3"
-        ),
-    )
-    parser.add_argument(
-        "--no-skip",
-        action="store_true",
-        help=(
-            "disable event-driven cycle skipping in the core loop "
-            "(step every cycle; slower, for differential testing)"
-        ),
-    )
-    parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help=(
-            "disable the fused basic-block execution tier (run every "
-            "instruction through its own closure; slower, for "
-            "differential testing)"
-        ),
-    )
-    parser.add_argument(
-        "--fast-forward",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "sampled simulation: execute the first N instructions of "
-            "every run on the functional fast-forward tier (with "
-            "functional cache/predictor warming) and restore the "
-            "detailed core from the warmed snapshot (cached under "
-            ".repro_cache/snapshots/)"
-        ),
-    )
-    parser.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "sampled simulation: measure N committed instructions "
-            "(after a detailed-warming discard window of min(N/10, "
-            "2000)) instead of the workload's full region"
-        ),
-    )
-    parser.add_argument(
-        "--sample-regions",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "multi-region sampling: run N periodic detailed windows of "
-            "--sample instructions each, fast-forwarding between them "
-            "along a shared snapshot chain, and report the mean with a "
-            "95%% confidence interval (0/1 = single window)"
-        ),
-    )
-    parser.add_argument(
-        "--sample-period",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "instructions between multi-region window starts; needs "
-            "--sample-regions >= 2 (default: spread the windows "
-            "uniformly over the workload's region)"
-        ),
     )
     parser.add_argument(
         "--sampled",
@@ -314,17 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with the 'bench' command: run the regime under cProfile and "
             "write the top-25 cumulative entries to "
             "benchmarks/results/profile_<regime>.txt"
-        ),
-    )
-    parser.add_argument(
-        "--service",
-        default=None,
-        metavar="URL",
-        help=(
-            "run experiment matrices through a remote experiment "
-            "service ('repro serve') instead of the in-process pool; "
-            "cache hits still resolve locally (default: "
-            "REPRO_SERVICE_URL env or in-process)"
         ),
     )
     parser.add_argument(
@@ -749,7 +647,6 @@ def run_serve(args: argparse.Namespace) -> int:
 
     host = args.host or DEFAULT_HOST
     port = args.port if args.port is not None else DEFAULT_PORT
-    print(f"repro serve: listening on http://{host}:{port}", file=sys.stderr)
     serve(host=host, port=port)
     return 0
 
@@ -774,38 +671,20 @@ def run_worker(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_skip:
-        # Experiments build RunRequests deep inside the drivers; the env
-        # flag flips their event_driven default (and is inherited by
-        # pool workers), keeping every construction site untouched.
-        os.environ["REPRO_NO_SKIP"] = "1"
-    if args.no_fuse:
-        # Same mechanism for the fused-block tier: the env flag flips
-        # the Core / RunRequest default everywhere at once.
-        os.environ["REPRO_NO_FUSE"] = "1"
-    # Resilience knobs travel to every nested run_matrix call the same
-    # way: experiments never thread them explicitly.
-    if args.timeout is not None:
-        os.environ["REPRO_TIMEOUT"] = str(args.timeout)
-    if args.retries is not None:
-        os.environ["REPRO_RETRIES"] = str(args.retries)
-    if args.on_error is not None:
-        os.environ["REPRO_ON_ERROR"] = args.on_error
-    # Sampling flags ride the same env-mirror mechanism: every
-    # RunRequest built anywhere downstream (experiments, sweeps, pool
-    # workers) inherits them through its default factories.
-    if args.fast_forward is not None:
-        os.environ["REPRO_FAST_FORWARD"] = str(args.fast_forward)
-    if args.sample is not None:
-        os.environ["REPRO_SAMPLE"] = str(args.sample)
-    if args.sample_regions is not None:
-        os.environ["REPRO_SAMPLE_REGIONS"] = str(args.sample_regions)
-    if args.sample_period is not None:
-        os.environ["REPRO_SAMPLE_PERIOD"] = str(args.sample_period)
-    if args.service is not None:
-        # Same env-mirror mechanism: every run_matrix call anywhere
-        # downstream becomes a thin client of the experiment service.
-        os.environ["REPRO_SERVICE_URL"] = args.service
+    try:
+        for setting in settings.SETTINGS:
+            # A knob flag the user set travels to the code that reads
+            # it (experiments, sweeps, pool and service workers) as its
+            # REPRO_* variable: no call site threads a knob explicitly.
+            value = getattr(args, setting.name, None)
+            if value is not None and value is not False:
+                os.environ[setting.env] = "1" if value is True else str(value)
+            # Parse every knob once, here, so a malformed value exits
+            # with one line naming it, not a traceback from a run.
+            settings.get(setting.name)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.experiment == "serve":
         return run_serve(args)
     if args.experiment == "worker":
@@ -841,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         # Every request downstream takes its sampling fields from the
-        # env mirrors set above: refuse a bad combination once, here,
+        # REPRO_* variables: refuse a bad combination once, here,
         # instead of as a traceback from deep inside an experiment.
         RunRequest(workload="-", scale=1.0)
     except ValueError as exc:

@@ -19,8 +19,8 @@ our scale-1.0 regions are ~10^5-10^6 instructions, see DESIGN.md).
 from __future__ import annotations
 
 import math
-import os
 
+from repro import settings
 from repro.analysis.characterize import characterize_run, characterize_slice
 from repro.analysis.problem import classify_problem_instructions
 from repro.harness import report
@@ -37,7 +37,7 @@ TABLE4_BENCHMARKS = ("bzip2", "eon", "gap", "gzip", "mcf", "perl", "twolf", "vpr
 
 def default_scale() -> float:
     """Benchmark scale; override with the REPRO_SCALE env variable."""
-    return float(os.environ.get("REPRO_SCALE", "0.35"))
+    return settings.get("scale")
 
 
 # ----------------------------------------------------------------------

@@ -67,57 +67,8 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.errors import RunTimeoutError, WorkerCrashError
-
-log = logging.getLogger(__name__)
-
-
-def _default_event_driven() -> bool:
-    """Request default for the core's cycle-skipping loop.
-
-    ``REPRO_NO_SKIP`` (set by the ``--no-skip`` CLI flag) flips the
-    default to the classic stepping loop for differential testing.
-    """
-    return not os.environ.get("REPRO_NO_SKIP")
-
-
-def _default_fast_forward() -> int:
-    """Request default for the functional fast-forward prefix length.
-
-    ``REPRO_FAST_FORWARD`` (set by the ``--fast-forward`` CLI flag)
-    makes every request constructed in-process a sampled run without
-    threading the value through each call site.
-    """
-    return int(os.environ.get("REPRO_FAST_FORWARD", "0") or 0)
-
-
-def _default_sample() -> int:
-    """Request default for the measured-region length of a sampled run.
-
-    ``REPRO_SAMPLE`` (set by the ``--sample`` CLI flag). ``0`` measures
-    the workload's full region.
-    """
-    return int(os.environ.get("REPRO_SAMPLE", "0") or 0)
-
-
-def _default_sample_regions() -> int:
-    """Request default for the number of multi-region sampling windows.
-
-    ``REPRO_SAMPLE_REGIONS`` (set by the ``--sample-regions`` CLI
-    flag). ``0`` / ``1`` keep the legacy single-window path.
-    """
-    return int(os.environ.get("REPRO_SAMPLE_REGIONS", "0") or 0)
-
-
-def _default_sample_period() -> int:
-    """Request default for the spacing between multi-region windows.
-
-    ``REPRO_SAMPLE_PERIOD`` (set by the ``--sample-period`` CLI flag).
-    ``0`` spreads the windows uniformly over the workload's region.
-    """
-    return int(os.environ.get("REPRO_SAMPLE_PERIOD", "0") or 0)
-
-
 from repro.harness.cache import RunCache
 from repro.harness.runner import MODES, simulate
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
@@ -125,6 +76,8 @@ from repro.uarch.fusion import fusion_default
 from repro.uarch.perfect import PerfectSpec
 from repro.uarch.stats import RunStats
 from repro.workloads import registry
+
+log = logging.getLogger(__name__)
 
 #: Machine presets addressable by name from a request.
 CONFIG_PRESETS: dict[str, MachineConfig] = {
@@ -144,10 +97,6 @@ def preset_name(config: MachineConfig, what: str) -> str:
             f"unmodified preset config ({tuple(CONFIG_PRESETS)})"
         )
     return config.name
-
-
-#: ``on_error`` policies for requests that exhaust their retries.
-ON_ERROR_POLICIES = ("raise", "skip")
 
 
 @dataclass(frozen=True)
@@ -180,7 +129,9 @@ class RunRequest:
     #: Event-driven cycle skipping in the core loop. Stats are
     #: identical either way (bar the skip counters), but the modes are
     #: fingerprinted separately so cached skip counters stay honest.
-    event_driven: bool = field(default_factory=_default_event_driven)
+    event_driven: bool = field(
+        default_factory=lambda: not settings.get("no_skip")
+    )
     #: Fused basic-block execution tier. Stats are identical either way
     #: (bar the fusion meta counters), but fingerprinted separately so
     #: cached ``blocks_compiled`` / ``block_deopts`` stay honest.
@@ -190,23 +141,31 @@ class RunRequest:
     #: functional warming), restoring the detailed core from the warmed
     #: snapshot. ``0`` = full detailed run. Joins the cache fingerprint
     #: via ``dataclasses.asdict`` like every other field.
-    fast_forward: int = field(default_factory=_default_fast_forward)
+    fast_forward: int = field(
+        default_factory=functools.partial(settings.get, "fast_forward")
+    )
     #: Measured-region length of a sampled run: measure this many
     #: committed instructions after the detailed-warming discard window
     #: (see :func:`repro.harness.fastforward.detail_warmup`). ``0`` =
     #: the workload's full region.
-    sample: int = field(default_factory=_default_sample)
+    sample: int = field(
+        default_factory=functools.partial(settings.get, "sample")
+    )
     #: Multi-region statistical sampling (:meth:`schedule`): run this
     #: many periodic detailed windows of ``sample`` instructions each,
     #: fast-forwarding between them along a shared snapshot chain, and
     #: aggregate them with a confidence interval
     #: (:func:`repro.uarch.stats.aggregate_stats`). ``0`` / ``1`` =
     #: the legacy single-window path, bit-identical to before.
-    sample_regions: int = field(default_factory=_default_sample_regions)
+    sample_regions: int = field(
+        default_factory=functools.partial(settings.get, "sample_regions")
+    )
     #: Spacing between multi-region window starts (instructions).
     #: ``0`` derives it by spreading the windows uniformly over the
     #: workload's full region. Only a multi-region request may set it.
-    sample_period: int = field(default_factory=_default_sample_period)
+    sample_period: int = field(
+        default_factory=functools.partial(settings.get, "sample_period")
+    )
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -529,36 +488,34 @@ def _run_item(item, snapshots=None) -> RunStats:
 def resolve_jobs(jobs: int | None = None) -> int:
     """Worker count: explicit arg, else ``REPRO_JOBS``, else CPU count."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        jobs = settings.get("jobs")
+    if jobs is None:
+        jobs = os.cpu_count() or 1
     return max(1, jobs)
 
 
 def _resolve_timeout(timeout: float | None) -> float | None:
-    """Per-request timeout: explicit arg, else ``REPRO_TIMEOUT`` env."""
-    if timeout is not None:
-        return timeout if timeout > 0 else None
-    env = os.environ.get("REPRO_TIMEOUT")
-    if env:
-        value = float(env)
-        return value if value > 0 else None
-    return None
+    """Per-request timeout: explicit arg, else ``REPRO_TIMEOUT``; a
+    value <= 0 means none."""
+    if timeout is None:
+        timeout = settings.get("timeout")
+    return timeout if timeout is not None and timeout > 0 else None
 
 
 def _resolve_retries(retries: int | None) -> int:
-    """Retry budget: explicit arg, else ``REPRO_RETRIES`` env, else 0."""
+    """Retry budget: explicit arg, else ``REPRO_RETRIES``, else 0."""
     if retries is None:
-        env = os.environ.get("REPRO_RETRIES")
-        retries = int(env) if env else 0
+        retries = settings.get("retries")
     return max(0, retries)
 
 
 def _resolve_on_error(on_error: str | None) -> str:
     if on_error is None:
-        on_error = os.environ.get("REPRO_ON_ERROR", "raise")
-    if on_error not in ON_ERROR_POLICIES:
+        return settings.get("on_error")
+    if on_error not in settings.ON_ERROR_POLICIES:
         raise ValueError(
-            f"unknown on_error {on_error!r}; known: {ON_ERROR_POLICIES}"
+            f"unknown on_error {on_error!r}; "
+            f"known: {settings.ON_ERROR_POLICIES}"
         )
     return on_error
 
@@ -910,15 +867,10 @@ def direct_execution():
 
 
 def _service_url() -> str | None:
-    """The configured experiment-service endpoint, if any (lazy import
-    so the default in-process path never loads the service package)."""
+    """The configured experiment-service endpoint, if any."""
     if getattr(_direct, "on", False):
         return None
-    if not os.environ.get("REPRO_SERVICE_URL", "").strip():
-        return None
-    from repro.service.client import service_url
-
-    return service_url()
+    return settings.get("service")
 
 
 def _execute_service(

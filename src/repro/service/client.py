@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 import urllib.error
 import urllib.request
@@ -33,13 +32,6 @@ DEFAULT_POLL_SECONDS = 0.25
 
 #: Per-HTTP-request socket timeout (the *sweep* deadline is separate).
 DEFAULT_HTTP_TIMEOUT = 30.0
-
-
-def service_url() -> str | None:
-    """The configured service endpoint, or ``None`` for in-process
-    execution (the default). Set by ``--service`` / ``REPRO_SERVICE_URL``."""
-    url = os.environ.get("REPRO_SERVICE_URL", "").strip()
-    return url.rstrip("/") or None
 
 
 class ServiceClient:

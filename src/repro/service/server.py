@@ -34,6 +34,7 @@ import asyncio
 import hashlib
 import json
 import logging
+import sys
 
 from repro.harness.cache import fingerprint, window_fingerprint
 from repro.harness.parallel import assemble_windows, window_request
@@ -364,9 +365,20 @@ def serve(
     store: ContentStore | None = None,
     queue: JobQueue | None = None,
 ) -> None:
-    """Blocking entry point for ``repro serve``."""
+    """Blocking entry point for ``repro serve``. Announces the bound
+    address on stderr, so ``port=0`` prints the port it resolved to."""
     server = ExperimentServer(store=store, queue=queue, host=host, port=port)
+
+    async def run() -> None:
+        await server.start()
+        print(
+            f"repro serve: listening on http://{server.host}:{server.port}",
+            file=sys.stderr,
+            flush=True,
+        )
+        await server.serve_forever()
+
     try:
-        asyncio.run(server.serve_forever())
+        asyncio.run(run())
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass

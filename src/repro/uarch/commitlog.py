@@ -10,11 +10,11 @@ committed main-thread instruction passes through, on every tier
 (stepping or event-driven, fused or per-instruction, snapshot-restored
 or cold) — and records one tuple per commit.
 
-The tap uses the same bound-method-wrapping idiom as
-:mod:`repro.uarch.tracelog`: it costs nothing when not attached, needs
-no Core constructor change, and sees commits during the warmup discard
-window too (the stats reset at the warmup boundary does not touch it),
-which is exactly what sampled-window comparison needs.
+The tap wraps the bound method on one Core instance: it costs nothing
+when not attached, needs no Core constructor change, and sees commits
+during the warmup discard window too (the stats reset at the warmup
+boundary does not touch it), which is exactly what sampled-window
+comparison needs.
 
 The per-commit record mirrors the interpreter's
 :class:`~repro.arch.interpreter.ExecResult` observables, so a detailed

@@ -43,10 +43,10 @@ length); it returns the number of instructions actually fetched.
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 from typing import Sequence
 
+from repro import settings
 from repro.arch.exceptions import NULL_PAGE_LIMIT, Fault
 from repro.arch.interpreter import _div
 from repro.arch.memory import MASK64, to_signed
@@ -108,7 +108,7 @@ def fusion_default() -> bool:
     ``REPRO_NO_FUSE`` (set by the ``--no-fuse`` CLI flag) disables the
     fused tier everywhere for differential testing and bisection.
     """
-    return not os.environ.get("REPRO_NO_FUSE")
+    return not settings.get("no_fuse")
 
 
 def compile_segment(

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import settings
 from repro.errors import DeadlockError
 from repro.harness import cli
 from repro.harness.cache import RunCache
@@ -126,18 +127,62 @@ def test_parser_rejects_unknown_on_error():
         build_parser().parse_args(["table4", "--on-error", "explode"])
 
 
-def test_resilience_flags_mirror_to_env(monkeypatch):
-    """The flags travel to nested run_matrix calls via env mirrors."""
-    for key in ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_ON_ERROR"):
-        monkeypatch.setenv(key, "stale")  # registers teardown restore
-        monkeypatch.delenv(key)
-    code = main(
-        ["table1", "--timeout", "7", "--retries", "2", "--on-error", "skip"]
-    )
-    assert code == 0
-    assert os.environ["REPRO_TIMEOUT"] == "7.0"
-    assert os.environ["REPRO_RETRIES"] == "2"
-    assert os.environ["REPRO_ON_ERROR"] == "skip"
+#: An example argument per knob flag and the text ``main`` exports.
+_FLAG_VALUES = {
+    "scale": ("0.05", "0.05"),
+    "jobs": ("3", "3"),
+    "timeout": ("7", "7.0"),
+    "retries": ("2", "2"),
+    "on_error": ("skip", "skip"),
+    "no_skip": (None, "1"),
+    "no_fuse": (None, "1"),
+    "fast_forward": ("9", "9"),
+    "sample": ("4", "4"),
+    "sample_regions": ("6", "6"),
+    "sample_period": ("123", "123"),
+    "service": ("http://host:8737/", "http://host:8737"),
+}
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [s for s in settings.SETTINGS if s.flag is not None],
+    ids=lambda s: s.name,
+)
+def test_knob_flag_exports_to_env(monkeypatch, tmp_path, setting):
+    """Each knob flag travels to nested run_matrix calls, pool and
+    service workers as its REPRO_* variable."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv(setting.env, raising=False)
+    arg, exported = _FLAG_VALUES[setting.name]
+    argv = [setting.flag] if arg is None else [setting.flag, arg]
+    assert main(["snapshot", "ls", *argv]) == 0
+    assert os.environ[setting.env] == exported
+
+
+@pytest.mark.parametrize(
+    "env, text",
+    [
+        ("REPRO_JOBS", "two"),
+        ("REPRO_ON_ERROR", "bogus"),
+        ("REPRO_SAMPLE", "abc"),
+        ("REPRO_TIMEOUT", "soon"),
+        ("REPRO_SCALE", "big"),
+    ],
+)
+def test_malformed_knob_exits_2_naming_it(monkeypatch, capsys, env, text):
+    """A bad REPRO_* value is refused up front, in one line that names
+    the variable, and nothing runs."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran despite a malformed knob")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setenv(env, text)
+    assert main(["table2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {env}={text!r}: ")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_deadlock_exits_2_without_traceback(monkeypatch, capsys):

@@ -11,7 +11,6 @@ the unsampled simulator rather than against golden values.
 
 import dataclasses
 import math
-import os
 
 import pytest
 
@@ -444,17 +443,6 @@ def test_parser_accepts_sampling_flags():
     assert args.sample == 1000
 
 
-def test_sampling_flags_mirror_to_env(monkeypatch, capsys, tmp_path):
-    for key in ("REPRO_FAST_FORWARD", "REPRO_SAMPLE"):
-        monkeypatch.setenv(key, "stale")  # registers teardown restore
-        monkeypatch.delenv(key)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code = cli.main(["snapshot", "ls", "--fast-forward", "9", "--sample", "4"])
-    assert code == 0
-    assert os.environ["REPRO_FAST_FORWARD"] == "9"
-    assert os.environ["REPRO_SAMPLE"] == "4"
-
-
 def test_cli_snapshot_ls_and_clear(cache_env, capsys):
     workload = registry.build("gzip", scale=0.05)
     ensure_snapshot(workload, FOUR_WIDE, 500)
@@ -802,19 +790,6 @@ def test_parser_accepts_multi_region_flags():
     )
     assert args.sample_regions == 10
     assert args.sample_period == 50_000
-
-
-def test_multi_region_flags_mirror_to_env(monkeypatch, tmp_path):
-    for key in ("REPRO_SAMPLE_REGIONS", "REPRO_SAMPLE_PERIOD"):
-        monkeypatch.setenv(key, "stale")  # registers teardown restore
-        monkeypatch.delenv(key)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code = cli.main(
-        ["snapshot", "ls", "--sample-regions", "6", "--sample-period", "123"]
-    )
-    assert code == 0
-    assert os.environ["REPRO_SAMPLE_REGIONS"] == "6"
-    assert os.environ["REPRO_SAMPLE_PERIOD"] == "123"
 
 
 @pytest.mark.parametrize(

@@ -200,3 +200,14 @@ def test_deadlock_check_is_event_aware():
     assert core._is_deadlocked()
     heapq.heappush(core._completions, (50, 0, None))
     assert not core._is_deadlocked()
+
+
+@pytest.mark.parametrize(
+    "value, event_driven", [("1", False), ("0", True), ("", True)]
+)
+def test_no_skip_env_flag(monkeypatch, value, event_driven):
+    """``REPRO_NO_SKIP`` turns cycle skipping off; "0" leaves it on."""
+    from repro.harness.parallel import RunRequest
+
+    monkeypatch.setenv("REPRO_NO_SKIP", value)
+    assert RunRequest(workload="vpr", scale=0.05).event_driven is event_driven
