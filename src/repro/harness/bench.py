@@ -467,7 +467,7 @@ def _warming_run():
     from repro.harness.fastforward import _LiveRun
 
     workload = registry.build(WARMING_WORKLOAD, scale=WARMING_SCALE)
-    run = _LiveRun(workload, FOUR_WIDE, warming=True)
+    run = _LiveRun(workload, FOUR_WIDE)
     run.advance(WARMING_PRIME_INSTS)
     return run
 

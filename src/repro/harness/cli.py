@@ -401,7 +401,7 @@ def run_snapshot_action(action: str | None) -> int:
         known_keys = {entry["key"] for entry in entries}
         print(
             f"{'key':16s} {'workload':12s} {'scale':>6s} "
-            f"{'ff_insts':>9s} {'executed':>9s} {'warm':>5s} "
+            f"{'ff_insts':>9s} {'executed':>9s} "
             f"{'chain':16s} {'built':8s} {'resumed@':>9s} {'bytes':>10s}"
         )
         chained = 0
@@ -425,7 +425,6 @@ def run_snapshot_action(action: str | None) -> int:
                 f"{entry['key'][:16]:16s} {entry['workload']:12s} "
                 f"{entry['scale']:>6g} {entry['ff_insts']:>9d} "
                 f"{entry['executed']:>9d} "
-                f"{'yes' if entry['warming'] else 'no':>5s} "
                 f"{chain:16s} {built:8s} {resumed_at:>9s} "
                 f"{entry['bytes']:>10,d}"
             )

@@ -7,18 +7,22 @@ instruction runs in full detail — it fast-forwards to the regions it
 measures. This module is that layer for our simulator, in four parts:
 
 * :func:`fast_forward` — execute a workload's warmup prefix purely
-  *functionally* on the interpreter tier, optionally with **functional
-  warming**: every load/store touches a
-  :class:`~repro.uarch.cache.DataHierarchy` (with the stream
-  prefetcher attached) and every branch trains the
+  *functionally* on the interpreter tier with **functional warming**:
+  every load/store runs the one state-only demand access,
+  :func:`~repro.uarch.prefetch.build_warm_access` (the
+  :class:`~repro.uarch.cache.DataHierarchy` transitions and the stream
+  prefetcher's training, inlined into one closure), and every branch
+  trains the
   :class:`~repro.uarch.branch.frontend_predictor.FrontEndPredictor`'s
   component tables directly with the resolved outcome — state updates
-  only, no timing — so the detailed region starts with realistic cache
-  and predictor contents instead of a cold machine. A prefix can
-  *resume* from an earlier snapshot (``resume_from``); resumed and
-  straight-through warmups produce byte-identical warm images (the
-  split-vs-straight differential in ``tests/harness/test_sampled.py``
-  pins this down), which is what makes snapshot chains sound.
+  only, no timing — so the detailed region starts with realistic
+  cache, prefetcher and predictor contents instead of a cold machine.
+  Warming only observes: the architectural state it leaves is exactly
+  the interpreter's. A prefix can *resume* from an earlier snapshot
+  (``resume_from``); resumed and straight-through warmups produce
+  byte-identical warm images (the split-vs-straight differential in
+  ``tests/harness/test_sampled.py`` pins this down), which is what
+  makes snapshot chains sound.
 * :class:`Snapshot` / :class:`SnapshotStore` — the resulting
   architectural state (registers, PC, full memory image) plus the
   warmed cache/predictor/prefetcher images, persisted under
@@ -76,7 +80,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.arch.exceptions import Fault
-from repro.arch.interpreter import _compile, run_functional
+from repro.arch.interpreter import _compile
 from repro.arch.memory import Memory
 from repro.arch.state import ThreadState
 from repro.harness.blobstore import IntegrityStore, payload_digest
@@ -154,15 +158,16 @@ class Snapshot:
     regs: list[int]
     #: Full sparse memory image (word-aligned address -> signed value).
     memory_words: dict[int, int]
-    #: True when the prefix ran with functional warming.
+    #: Always True: every prefix runs with functional warming. Kept in
+    #: the payload so snapshot bytes and digests stay unchanged.
     warming: bool
     #: Digest of the warming-relevant machine sub-configs this
     #: snapshot's images were built for (see :func:`warm_config_key`).
     warm_config: str | None = None
     #: ``DataHierarchy.warm_image()`` (L1/L2 sets, prefetch/victim
     #: buffer), ``FrontEndPredictor.warm_image()``, and
-    #: ``StreamPrefetcher.warm_image()`` payloads, or ``None`` when
-    #: warming was off.
+    #: ``StreamPrefetcher.warm_image()`` payloads; every fast-forward
+    #: fills all three.
     hierarchy_image: dict | None = field(default=None, repr=False)
     predictor_image: tuple | None = field(default=None, repr=False)
     prefetcher_image: list | None = field(default=None, repr=False)
@@ -207,7 +212,6 @@ def snapshot_fingerprint(
     scale: float,
     ff_insts: int,
     config: MachineConfig,
-    warming: bool = True,
     source_hash: str | None = None,
 ) -> str:
     """Content-addressed key for one snapshot.
@@ -222,8 +226,8 @@ def snapshot_fingerprint(
             "workload": workload,
             "scale": scale,
             "ff_insts": ff_insts,
-            "warming": warming,
-            "warm_config": warm_config_key(config) if warming else None,
+            "warming": True,
+            "warm_config": warm_config_key(config),
         },
         source_hash,
     )
@@ -264,28 +268,20 @@ def chain_digest(digests: list[str] | tuple[str, ...]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _cold_loop(program, state, budget: int) -> tuple[int, bool]:
-    """Plain functional execution (no warming): ``(executed, halted)``."""
-    executed = 0
-    for _inst, result in run_functional(program, state, budget):
-        executed += 1
-        if result.fault is Fault.HALT:
-            return executed, True
-    return executed, False
-
-
 def _warm_steps(
     program,
     state,
     budget: int,
-    hierarchy: DataHierarchy,
+    warm_access,
     predictor: FrontEndPredictor,
 ) -> tuple[int, bool]:
     """Per-instruction functional execution with direct warming.
 
     The precise-budget tier of warming: dispatches the interpreter's
     cached executor closures directly (no generator frame per
-    instruction) and trains the predictor components with their
+    instruction), hands every memory access to *warm_access* (the
+    run's :func:`~repro.uarch.prefetch.build_warm_access` closure),
+    and trains the predictor components with their
     resolved outcomes instead of running the full
     predict/restore/replay/train protocol. The two are state-
     equivalent: ``YagsPredictor.update`` and
@@ -303,7 +299,6 @@ def _warm_steps(
     exercises exactly that boundary.
     """
     program_at = program.at
-    warm_access = hierarchy.warm_access
     direction = predictor.direction
     indirect = predictor.indirect
     ras = predictor.ras
@@ -360,8 +355,9 @@ def _warm_loop(
     program,
     state,
     budget: int,
-    hierarchy: DataHierarchy,
+    warm_access,
     predictor: FrontEndPredictor,
+    hierarchy: DataHierarchy,
 ) -> tuple[int, bool]:
     """Trace-fused functional warming: ``(executed, halted)``.
 
@@ -383,7 +379,7 @@ def _warm_loop(
     l1 = hierarchy.l1
     table = warm_block_table(program, l1._line_shift, l1._set_mask)
     compile_run = compile_warm_run
-    ctx = WarmContext(state, hierarchy, predictor)
+    ctx = WarmContext(state, hierarchy, predictor, warm_access)
     # Compiled runs are cached program-wide; the zero-argument closures
     # they produce are bound to *this* pass's context once per run here
     # (contexts go stale across warm-image loads, which replace the
@@ -423,7 +419,7 @@ def _warm_loop(
                 # exact.
                 state.pc = pc
                 ran, halted = _warm_steps(
-                    program, state, remaining, hierarchy, predictor
+                    program, state, remaining, warm_access, predictor
                 )
                 executed += ran
                 remaining -= ran
@@ -454,19 +450,25 @@ class _LiveRun:
     costs one set of state copies (the capture) instead of two (a
     resume copy *and* a capture copy per member) — at benchmark scales
     a member's memory image alone is millions of words.
+
+    The hierarchy, prefetcher and predictor are private to the pass
+    and hold state only. Their one access rule is ``warm_access``, the
+    :func:`~repro.uarch.prefetch.build_warm_access` closure, which the
+    run keeps and hands to the warming tiers.
     """
 
     def __init__(
         self,
         workload: Workload,
         config: MachineConfig,
-        warming: bool,
         resume_from: Snapshot | None = None,
     ):
         self.workload = workload
         self.config = config
-        self.warming = warming
         self.program = workload.program
+        self.hierarchy = DataHierarchy(config)
+        self.prefetcher = StreamPrefetcher(config.prefetch, self.hierarchy)
+        self.predictor = FrontEndPredictor(config.branch)
         if resume_from is not None:
             self.memory = Memory(
                 resume_from.memory_words, journaling=False, normalized=True
@@ -477,6 +479,9 @@ class _LiveRun:
             self.state.regs.load_values(dict(enumerate(resume_from.regs)))
             self.executed = resume_from.executed
             self.halted = resume_from.halted
+            self.hierarchy.load_warm_image(resume_from.hierarchy_image)
+            self.predictor.load_warm_image(resume_from.predictor_image)
+            self.prefetcher.load_warm_image(resume_from.prefetcher_image)
         else:
             # Workload images are normalized at build time (Workload
             # __post_init__), so this is a plain dict copy.
@@ -488,48 +493,18 @@ class _LiveRun:
             )
             self.executed = 0
             self.halted = False
-
-        self.hierarchy = self.predictor = self.prefetcher = None
-        if warming:
-            self.hierarchy = DataHierarchy(config)
-            self.prefetcher = StreamPrefetcher(
-                config.prefetch, self.hierarchy
-            )
-            self.prefetcher.attach()
-            self.predictor = FrontEndPredictor(config.branch)
-            # Route prefetch launches through the untimed fill path.
-            # This hierarchy is private to the warming pass, so
-            # shadowing the bound method on the instance is contained.
-            self.hierarchy.prefetch_fill = self.hierarchy.warm_prefetch_fill
-            if resume_from is not None:
-                self.hierarchy.load_warm_image(resume_from.hierarchy_image)
-                self.predictor.load_warm_image(resume_from.predictor_image)
-                self.prefetcher.load_warm_image(
-                    resume_from.prefetcher_image or []
-                )
-            # Fuse the whole demand-miss path — hierarchy transitions
-            # plus stream training — into one closure over the current
-            # containers (built *after* any image load; loading
-            # replaces them). Same instance-shadow containment as
-            # ``prefetch_fill`` above.
-            self.hierarchy.warm_access = build_warm_access(
-                self.hierarchy, self.prefetcher
-            )
+        # Built *after* any image load: the closure binds the current
+        # containers, and loading replaces them.
+        self.warm_access = build_warm_access(self.hierarchy, self.prefetcher)
 
     def advance(self, ff_insts: int) -> None:
         """Run forward to absolute depth *ff_insts* (no-op if already
         there or halted)."""
         if not self.halted and ff_insts > self.executed:
-            budget = ff_insts - self.executed
-            if self.warming:
-                ran, self.halted = _warm_loop(
-                    self.program, self.state, budget,
-                    self.hierarchy, self.predictor,
-                )
-            else:
-                ran, self.halted = _cold_loop(
-                    self.program, self.state, budget
-                )
+            ran, self.halted = _warm_loop(
+                self.program, self.state, ff_insts - self.executed,
+                self.warm_access, self.predictor, self.hierarchy,
+            )
             self.executed += ran
 
     def capture(self, ff_insts: int) -> Snapshot:
@@ -537,7 +512,7 @@ class _LiveRun:
         is a detached copy (``regs.values()``, ``memory.snapshot()``,
         and the three ``warm_image()``s all copy), so the run can keep
         advancing afterwards without aliasing the member."""
-        workload, warming = self.workload, self.warming
+        workload = self.workload
         return Snapshot(
             workload=workload.name,
             scale=workload.scale,
@@ -547,13 +522,11 @@ class _LiveRun:
             halted=self.halted,
             regs=self.state.regs.values(),
             memory_words=self.memory.snapshot(),
-            warming=warming,
-            warm_config=warm_config_key(self.config) if warming else None,
-            hierarchy_image=self.hierarchy.warm_image() if warming else None,
-            predictor_image=self.predictor.warm_image() if warming else None,
-            prefetcher_image=(
-                self.prefetcher.warm_image() if warming else None
-            ),
+            warming=True,
+            warm_config=warm_config_key(self.config),
+            hierarchy_image=self.hierarchy.warm_image(),
+            predictor_image=self.predictor.warm_image(),
+            prefetcher_image=self.prefetcher.warm_image(),
         )
 
 
@@ -561,7 +534,6 @@ def fast_forward(
     workload: Workload,
     config: MachineConfig,
     ff_insts: int,
-    warming: bool = True,
     resume_from: Snapshot | None = None,
 ) -> Snapshot:
     """Execute the first *ff_insts* instructions of *workload*
@@ -572,9 +544,9 @@ def fast_forward(
     snapshot of the same prefix, in which case only the remaining
     ``ff_insts - resume_from.executed`` instructions run. The warming
     protocol (see :func:`_warm_loop`) updates cache, prefetcher, and
-    predictor state exactly as the detailed core would at commit,
-    without its clock, and is identical whether a prefix runs in one
-    shot or split across resumes.
+    predictor state with each correct-path outcome, without a clock,
+    and is identical whether a prefix runs in one shot or split across
+    resumes.
 
     Stops early at HALT or a PC outside the program (the snapshot
     records how far it actually got).
@@ -588,16 +560,14 @@ def fast_forward(
                 f"snapshot is for {resume_from.workload}@{resume_from.scale}, "
                 f"not {workload.name}@{workload.scale}"
             )
-        if resume_from.warming != warming:
-            raise ValueError("cannot resume across a warming-mode change")
         if resume_from.executed > ff_insts:
             raise ValueError(
                 f"resume point ({resume_from.executed}) is past the "
                 f"requested depth ({ff_insts})"
             )
-        if warming and resume_from.warm_config != warm_config_key(config):
+        if resume_from.warm_config != warm_config_key(config):
             raise ValueError("cannot resume across a warm-config change")
-    run = _LiveRun(workload, config, warming, resume_from=resume_from)
+    run = _LiveRun(workload, config, resume_from=resume_from)
     run.advance(ff_insts)
     snapshot = run.capture(ff_insts)
     snapshot.built_by = "serial"
@@ -631,7 +601,6 @@ def list_snapshots(store: SnapshotStore) -> list[dict]:
             "scale": snapshot.scale,
             "ff_insts": snapshot.ff_insts,
             "executed": snapshot.executed,
-            "warming": snapshot.warming,
             "parent": snapshot.parent,
             "built_by": snapshot.built_by,
             "resumed_from_depth": snapshot.resumed_from_depth,
@@ -650,7 +619,6 @@ def ensure_snapshot(
     workload: Workload,
     config: MachineConfig,
     ff_insts: int,
-    warming: bool = True,
     store: SnapshotStore | None = None,
 ) -> tuple[Snapshot | None, bool]:
     """Fetch (or build and persist) the snapshot for this prefix: a
@@ -661,16 +629,13 @@ def ensure_snapshot(
     deterministic and writes are atomic, so concurrent workers racing
     on a missing snapshot converge on identical bytes.
     """
-    return next(
-        iter_chain(workload, config, (ff_insts,), warming=warming, store=store)
-    )
+    return next(iter_chain(workload, config, (ff_insts,), store=store))
 
 
 def iter_chain(
     workload: Workload,
     config: MachineConfig,
     depths,
-    warming: bool = True,
     store: SnapshotStore | None = None,
     built_by: str = "serial",
 ):
@@ -714,7 +679,7 @@ def iter_chain(
             yield None, False
             continue
         key = snapshot_fingerprint(
-            workload.name, workload.scale, depth, config, warming
+            workload.name, workload.scale, depth, config
         )
         snapshot = store.get(key)
         hit = snapshot is not None
@@ -722,9 +687,7 @@ def iter_chain(
             live = None  # the live pass is behind this member now
         else:
             if live is None:
-                live = _LiveRun(
-                    workload, config, warming, resume_from=prev
-                )
+                live = _LiveRun(workload, config, resume_from=prev)
                 anchor = prev.ff_insts if prev is not None else None
             live.advance(depth)
             snapshot = live.capture(depth)

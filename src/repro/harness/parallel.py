@@ -600,17 +600,6 @@ class MatrixReport:
         return sum(o.attempts for o in _unique_outcomes(self.outcomes))
 
     @property
-    def ff_insts(self) -> int:
-        """Instructions executed on the functional fast-forward tier
-        across unique outcomes (multi-region runs already carry their
-        chain total)."""
-        return sum(
-            o.stats.ff_insts
-            for o in _unique_outcomes(self.outcomes)
-            if o.stats is not None
-        )
-
-    @property
     def snapshot_hits(self) -> int:
         """Warmed snapshots restored from the on-disk store instead of
         built (chain members included)."""

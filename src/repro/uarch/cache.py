@@ -374,130 +374,6 @@ class DataHierarchy:
         return not (self.l1.probe(addr) or self.buffer.contains(addr))
 
     # ------------------------------------------------------------------
-    # Functional-warming access path (sampled simulation)
-    # ------------------------------------------------------------------
-
-    def warm_access(self, addr: int, is_store: bool) -> None:
-        """State-only demand access for functional warming.
-
-        Performs exactly the cache/buffer/stream state transitions of
-        :meth:`access` — same LRU updates, same fill and victim motion,
-        same miss-listener (prefetcher) training, in the same order —
-        with the timing machinery stripped: no latency computation, no
-        MSHR arrival tracking, no :class:`AccessResult`, no statistics.
-        None of that is part of :meth:`warm_image` (a restored run
-        starts its clock and counters fresh), and this is the hottest
-        call of the fast-forward tier, so the whole transition — L1
-        probe, buffer promote, L2 lookup/fill, L1 fill with victim
-        motion — is flattened into this one function over the packed
-        sets: the only remaining call on the miss path is the miss
-        listener (the stream prefetcher), which mutates its own state.
-
-        Order matters on a miss: the listener fires *before* the L2
-        update and the L1 fill (as in :meth:`access`), and its prefetch
-        launches touch the same L2 sets — adjacent L1 lines share an
-        L2 line — so the relative order is observable in the LRU state.
-        """
-        l1 = self.l1
-        line = addr >> l1._line_shift
-        bucket = l1._sets[line & l1._set_mask]
-        for i, entry in enumerate(bucket):
-            if entry >> 1 == line:
-                del bucket[i]
-                bucket.append(entry | is_store)
-                return
-        # L1 miss: the prefetch/victim buffer is checked in parallel
-        # (a hit promotes into the L1 and still trains the prefetcher,
-        # exactly as in :meth:`access`). Buffer lines are L1-line
-        # granularity, so `line` is the buffer key too.
-        buffer = self.buffer
-        buf_lines = buffer._lines
-        if buf_lines.pop(line, None) is not None:
-            # Promote: ``_fill_l1`` inlined (the line is absent — the
-            # scan above proved it — so this is evict-if-full + append,
-            # with the victim spilling into the buffer).
-            if len(bucket) >= l1.config.associativity:
-                victim = bucket.pop(0) >> 1
-                # ``buffer.insert(victim, from_prefetch=False)``: a
-                # refreshed entry's provenance is and-ed with False.
-                if victim in buf_lines:
-                    del buf_lines[victim]
-                elif len(buf_lines) >= buffer._entries:
-                    del buf_lines[next(iter(buf_lines))]
-                buf_lines[victim] = False
-            bucket.append((line << 1) | is_store)
-            if self._miss_listener is not None:
-                self._miss_listener(addr, 0)
-            return
-        if self._miss_listener is not None:
-            self._miss_listener(addr, 0)
-        # L2 lookup (LRU update, never a store from the L1's view) or
-        # fill (victim dropped), as in :meth:`access`.
-        l2 = self.l2
-        l2_line = addr >> l2._line_shift
-        l2_bucket = l2._sets[l2_line & l2._set_mask]
-        for i, entry in enumerate(l2_bucket):
-            if entry >> 1 == l2_line:
-                if i + 1 != len(l2_bucket):
-                    del l2_bucket[i]
-                    l2_bucket.append(entry)
-                break
-        else:
-            if len(l2_bucket) >= l2.config.associativity:
-                del l2_bucket[0]
-            l2_bucket.append(l2_line << 1)
-        # ``_fill_l1`` inlined again (same absent-line reduction).
-        if len(bucket) >= l1.config.associativity:
-            victim = bucket.pop(0) >> 1
-            if victim in buf_lines:
-                del buf_lines[victim]
-            elif len(buf_lines) >= buffer._entries:
-                del buf_lines[next(iter(buf_lines))]
-            buf_lines[victim] = False
-        bucket.append((line << 1) | is_store)
-
-    def warm_prefetch_fill(self, addr: int, now: int = 0) -> None:
-        """State-only :meth:`prefetch_fill` for functional warming —
-        same L2/buffer state transitions, no arrival tracking or
-        statistics. The warming loop installs this over
-        ``prefetch_fill`` on its (private) hierarchy so the stream
-        prefetcher's launches take the untimed path too.
-
-        Runs several times per demand miss (the stream depth), so the
-        presence probes and the insert are inlined: the buffer dict
-        membership test goes first (cheapest, most often decisive —
-        overlapping launch windows re-request the same lines), then
-        the L1 probe; both are pure reads, so the reordering relative
-        to :meth:`prefetch_fill` is unobservable.
-        """
-        buffer = self.buffer
-        lines = buffer._lines
-        line = addr >> buffer._line_shift
-        if line in lines:
-            return
-        l1 = self.l1
-        for entry in l1._sets[line & l1._set_mask]:
-            if entry >> 1 == line:
-                return
-        l2 = self.l2
-        l2_line = addr >> l2._line_shift
-        l2_bucket = l2._sets[l2_line & l2._set_mask]
-        for entry in l2_bucket:
-            if entry >> 1 == l2_line:
-                break
-        else:
-            # Absent: evict-if-full + append, exactly ``l2.fill`` for a
-            # missing line (the L2 victim is dropped, as in
-            # ``prefetch_fill``).
-            if len(l2_bucket) >= l2.config.associativity:
-                del l2_bucket[0]
-            l2_bucket.append(l2_line << 1)
-        # ``buffer.insert`` for an absent line with from_prefetch=True.
-        if len(lines) >= buffer._entries:
-            del lines[next(iter(lines))]
-        lines[line] = True
-
-    # ------------------------------------------------------------------
     # Functional-warming images (sampled simulation)
     # ------------------------------------------------------------------
 

@@ -184,18 +184,14 @@ class Core:
         if snapshot is not None:
             # Architectural restore: the functional fast-forward's
             # registers and PC. Memory was restored above; the warmed
-            # microarchitectural images (if the snapshot carries them)
-            # overwrite the cold-start hierarchy/predictor.
+            # microarchitectural images overwrite the cold-start
+            # hierarchy, predictor and stream table.
             state = self._main.state
             state.pc = snapshot.pc
             state.regs.load_values(dict(enumerate(snapshot.regs)))
-            if snapshot.hierarchy_image is not None:
-                self.hierarchy.load_warm_image(snapshot.hierarchy_image)
-            if snapshot.predictor_image is not None:
-                self.predictor.load_warm_image(snapshot.predictor_image)
-            prefetcher_image = getattr(snapshot, "prefetcher_image", None)
-            if prefetcher_image is not None:
-                self.prefetcher.load_warm_image(prefetcher_image)
+            self.hierarchy.load_warm_image(snapshot.hierarchy_image)
+            self.predictor.load_warm_image(snapshot.predictor_image)
+            self.prefetcher.load_warm_image(snapshot.prefetcher_image)
 
         self.stats = RunStats(
             config_name=config.name, workload_name=workload_name

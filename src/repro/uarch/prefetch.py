@@ -50,8 +50,6 @@ class StreamPrefetcher:
         self._hierarchy = hierarchy
         self._line_bytes = hierarchy.config.l1d.line_bytes
         self._line_shift = self._line_bytes.bit_length() - 1
-        #: L1-line -> L2-line shift, for the inlined warm fill path.
-        self._l2_delta = hierarchy.l2._line_shift - self._line_shift
         #: Allocation order, oldest first (so eviction is an O(1)
         #: ``popleft`` instead of ``list.pop(0)``).
         self._streams: deque[_Stream] = deque()
@@ -212,11 +210,11 @@ class StreamPrefetcher:
                 break
             launched += 1
             # Side-effect-free prechecks: a line already buffered or
-            # resident in the L1 makes prefetch_fill — timed or warm —
-            # return before any state or statistics update, so skipping
-            # the call is behavior-identical. It is also the dominant
-            # case: consecutive launch windows of one stream overlap in
-            # all but one line.
+            # resident in the L1 makes prefetch_fill return before any
+            # state or statistics update, so skipping the call is
+            # behavior-identical. It is also the dominant case:
+            # consecutive launch windows of one stream overlap in all
+            # but one line.
             if target in buffer_lines:
                 continue
             covered = False
@@ -236,24 +234,30 @@ class StreamPrefetcher:
 
 
 def build_warm_access(hierarchy: DataHierarchy, prefetcher: StreamPrefetcher):
-    """One-frame warm demand access: hierarchy transitions *and*
-    stream training fused into a single closure.
+    """The state-only demand access of functional warming: hierarchy
+    transitions *and* stream training fused into a single closure.
 
     Returns a ``warm_access(addr, is_store)`` function that performs
-    exactly what :meth:`DataHierarchy.warm_access` with *prefetcher*
-    attached as the miss listener performs — same state transitions,
-    same order (buffer promote before training on a buffer hit;
-    training before the L2/L1 fills on a full miss, whose launches
-    touch the same L2 sets), same ``prefetches_launched`` /
-    ``streams_confirmed`` counters — with the listener call, the
-    stream-index maintenance, and every
-    :meth:`DataHierarchy.warm_prefetch_fill` body inlined, and all
-    geometry and containers held in closure cells instead of being
-    re-read through three objects per miss. The warming driver
-    installs it over ``warm_access`` on its (private) hierarchy.
+    exactly the cache, buffer and stream-table transitions of a timed
+    :meth:`DataHierarchy.access` with *prefetcher* attached as its miss
+    listener — same LRU updates, same fill and victim motion, same
+    order (buffer promote before training on a buffer hit; training
+    before the L2/L1 fills on a full miss, whose launches touch the
+    same L2 sets), same ``prefetches_launched`` / ``streams_confirmed``
+    counters — with the timing stripped: no latency, no MSHR arrival
+    tracking, no statistics, and prefetch launches that fill the L2
+    and the buffer without arrival times. None of that is part of a
+    warm image (a restored run starts its clock and counters fresh).
+    The listener call, the stream-index maintenance, and every
+    prefetch fill are inlined, and all geometry and containers are
+    held in closure cells instead of being re-read through three
+    objects per miss.
 
-    The cells bind the *current* container objects, so the closure
-    must be rebuilt after any ``load_warm_image`` (which replaces
+    This is the one warm access rule. The warming driver
+    (:class:`repro.harness.fastforward._LiveRun`) keeps the closure and
+    hands it to both warming tiers; nothing is installed on the
+    hierarchy. The cells bind the *current* container objects, so the
+    closure must be built after any ``load_warm_image`` (which replaces
     them) — the same contract as ``warmfuse.WarmContext``.
     """
     l1 = hierarchy.l1

@@ -17,10 +17,11 @@ a likely dynamic path that crosses statically-targeted branches
 loops unroll into the function; only register-indirect control flow
 ends discovery) — that performs, per instruction, exactly the
 architectural effects of the interpreter closures plus the warm
-updates of :meth:`DataHierarchy.warm_access` and the direct
-branch-predictor training of the warming protocol, with operand
-indices, immediates, branch targets, and L1 geometry folded in as
-literals. When execution leaves the compiled path the function exits
+demand access (the :func:`repro.uarch.prefetch.build_warm_access`
+closure the driver hands in) and the direct branch-predictor
+training of the warming protocol, with operand indices,
+immediates, branch targets, and L1 geometry folded in as literals.
+When execution leaves the compiled path the function exits
 with the correct next PC and reports its exact instruction count
 through ``WarmContext.xc``. No ``ExecResult`` is ever allocated; an
 L1 MRU hit is two list subscripts.
@@ -120,7 +121,9 @@ _TERMINATORS = frozenset(
 
 class WarmContext:
     """Per-``fast_forward`` bindings the generated runs read their
-    state through. Rebuilt after every warm-image load (loading
+    state through: the thread state, the L1 sets of *hierarchy*, the
+    *predictor* components, and the *warm_access* closure memory ops
+    fall back to. Rebuilt after every warm-image load (loading
     replaces the predictor component objects)."""
 
     __slots__ = (
@@ -130,7 +133,7 @@ class WarmContext:
         "indirect", "iud", "ish", "rpush", "rpop", "xc",
     )
 
-    def __init__(self, state, hierarchy, predictor):
+    def __init__(self, state, hierarchy, predictor, warm_access):
         #: Executed-count cell: every generated trace writes the number
         #: of instructions it actually ran here before returning, so a
         #: mid-trace exit (a branch that went the un-followed way) still
@@ -139,7 +142,7 @@ class WarmContext:
         self.r = state.regs._regs
         self.mw = state.memory._words
         self.mw_get = self.mw.get
-        self.wa = hierarchy.warm_access
+        self.wa = warm_access
         self.sets = hierarchy.l1._sets
         direction = predictor.direction
         self.direction = direction

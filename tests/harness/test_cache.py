@@ -211,6 +211,3 @@ def test_key_scheme_is_pinned():
     assert snapshot_fingerprint(
         "mcf", 0.5, 6_000, FOUR_WIDE, source_hash=source
     ) == "12a3f6134c3cfe54b928a078beb8833a63386cdc623c985ee1fb5a9ad7d617aa"
-    assert snapshot_fingerprint(
-        "mcf", 0.5, 6_000, FOUR_WIDE, warming=False, source_hash=source
-    ) == "dfa4fec833a6340dfde4c9563a961eba85721ef2fefac0c89e25bd2cf4e359fd"

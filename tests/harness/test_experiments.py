@@ -100,19 +100,26 @@ def test_sampled_plan_schedule_fits_horizon():
 def test_sampled_plan_windows_land_before_halt(workload_name):
     """Halt-awareness, measured: at the plan's scale the workload
     really runs past the last scheduled window before HALT."""
-    from repro.harness import fastforward as ff
+    from repro.arch.interpreter import run_functional
+    from repro.arch.memory import Memory
+    from repro.arch.state import ThreadState
     from repro.workloads import registry
 
     horizon = 100_000
     plan = experiments.sampled_plan(workload_name, horizon=horizon)
     last_end = _last_window_end(workload_name, plan)
     workload = registry.build(workload_name, scale=plan["scale"])
-    run = ff._LiveRun(workload, FOUR_WIDE, warming=False)
-    run.advance(2 * horizon)
+    memory = Memory(workload.memory_image, journaling=False)
+    state = ThreadState(
+        memory, entry_pc=workload.program.entry_pc, journaling=False
+    )
+    executed = sum(
+        1 for _ in run_functional(workload.program, state, 2 * horizon)
+    )
     # A run may exceed the model (gzip's jagged match tails) but must
     # never HALT short of the last scheduled window.
-    assert run.executed >= last_end, (
-        f"{workload_name}: halts at {run.executed}, last window ends "
+    assert executed >= last_end, (
+        f"{workload_name}: halts at {executed}, last window ends "
         f"at {last_end}"
     )
 

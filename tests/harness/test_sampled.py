@@ -193,43 +193,37 @@ def test_derived_schedule_reads_the_shared_workload():
 # ----------------------------------------------------------------------
 
 
-def test_fast_forward_matches_interpreter():
-    """Unwarmed fast-forward is exactly the raw interpreter: same PC,
-    registers, and memory after N instructions."""
+@pytest.mark.parametrize("workload_name", sorted(registry.WORKLOAD_BUILDERS))
+def test_warmed_fast_forward_matches_interpreter(workload_name):
+    """Warming is observation-only: warmed fast-forward leaves exactly
+    the raw interpreter's PC, registers, and memory after N
+    instructions, and carries all three warm images."""
     from repro.arch.interpreter import execute
     from repro.arch.memory import Memory
     from repro.arch.state import ThreadState
 
-    workload = registry.build("gzip", scale=0.05)
-    n = 2_000
-    snap = fast_forward(workload, FOUR_WIDE, n, warming=False)
+    workload = registry.build(workload_name, scale=0.1)
+    n = 3_000
+    snap = fast_forward(workload, FOUR_WIDE, n)
 
     memory = Memory(workload.memory_image, journaling=False)
     state = ThreadState(memory, entry_pc=workload.program.entry_pc)
+    executed = 0
     for _ in range(n):
         inst = workload.program.at(state.pc)
         if inst is None or state.halted:
             break
         execute(inst, state)
+        executed += 1
 
-    assert snap.executed == n
+    assert snap.executed == executed
     assert snap.pc == state.pc
     assert snap.regs == state.regs.values()
     assert snap.memory_words == memory.snapshot()
-    assert snap.hierarchy_image is None and snap.predictor_image is None
-
-
-def test_warming_does_not_perturb_architecture():
-    """Microarchitectural warming is observation-only: the
-    architectural state it snapshots is identical to unwarmed."""
-    workload = registry.build("mcf", scale=0.2)
-    cold = fast_forward(workload, FOUR_WIDE, 3_000, warming=False)
-    warm = fast_forward(workload, FOUR_WIDE, 3_000, warming=True)
-    assert (cold.pc, cold.regs, cold.memory_words) == (
-        warm.pc, warm.regs, warm.memory_words
-    )
-    assert warm.hierarchy_image is not None
-    assert warm.predictor_image is not None
+    assert snap.warming
+    assert snap.hierarchy_image is not None
+    assert snap.predictor_image is not None
+    assert snap.prefetcher_image is not None
 
 
 def test_restore_then_run_matches_straight_through():
@@ -320,7 +314,6 @@ def test_fingerprint_keys_on_warming_inputs_only():
     base = snapshot_fingerprint("mcf", 0.5, 1_000, FOUR_WIDE)
     assert snapshot_fingerprint("mcf", 0.5, 2_000, FOUR_WIDE) != base
     assert snapshot_fingerprint("mcf", 0.2, 1_000, FOUR_WIDE) != base
-    assert snapshot_fingerprint("mcf", 0.5, 1_000, FOUR_WIDE, warming=False) != base
     # Source-tree changes invalidate (content-addressing).
     assert snapshot_fingerprint("mcf", 0.5, 1_000, FOUR_WIDE, source_hash="x") != base
     # Timing-only parameters share the snapshot...
@@ -586,7 +579,12 @@ def test_warm_tiers_state_identical(monkeypatch):
 
     workload = registry.build("mcf", scale=0.2)
     fused = fast_forward(workload, FOUR_WIDE, 8_000)
-    monkeypatch.setattr(ff, "_warm_loop", ff._warm_steps)
+
+    def stepped_loop(program, state, budget, warm_access, predictor,
+                     _hierarchy):
+        return ff._warm_steps(program, state, budget, warm_access, predictor)
+
+    monkeypatch.setattr(ff, "_warm_loop", stepped_loop)
     stepped = fast_forward(workload, FOUR_WIDE, 8_000)
     assert snapshot_digest(stepped) == snapshot_digest(fused)
 
@@ -760,7 +758,7 @@ def test_matrix_report_sampling_counters(cache_env):
     )
     stats = report.stats_list()[0]
     assert report.sampled_regions == stats.sample_regions == 3
-    assert report.ff_insts == stats.ff_insts > 0
+    assert stats.ff_insts > 0
     assert report.snapshot_hits == 2  # chain prebuilt in the parent
 
 
@@ -968,19 +966,17 @@ class _LegacyWarmModel:
 def _demand_trace(workload, depth):
     """The (addr, is_store) demand stream of the first *depth* warmed
     instructions, captured by running the per-instruction warming tier
-    against a record-only hierarchy stub (demand addresses depend only
+    with a record-only access function (demand addresses depend only
     on architectural execution, never on cache state)."""
     from repro.harness import fastforward as ff
 
-    run = ff._LiveRun(workload, FOUR_WIDE, warming=True)
+    run = ff._LiveRun(workload, FOUR_WIDE)
     trace = []
 
-    class _Recorder:
-        @staticmethod
-        def warm_access(addr, is_store):
-            trace.append((addr, bool(is_store)))
+    def record(addr, is_store):
+        trace.append((addr, bool(is_store)))
 
-    ff._warm_steps(run.program, run.state, depth, _Recorder, run.predictor)
+    ff._warm_steps(run.program, run.state, depth, record, run.predictor)
     return trace
 
 
