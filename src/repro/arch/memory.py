@@ -85,10 +85,6 @@ class Memory:
         """Discard journal entries at or after *mark* (writes become final)."""
         del self._journal[mark:]
 
-    @property
-    def journal_length(self) -> int:
-        return len(self._journal)
-
     def snapshot(self) -> dict[int, int]:
         """Return a copy of the current memory contents (for tests)."""
         return dict(self._words)

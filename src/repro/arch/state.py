@@ -44,8 +44,3 @@ class ThreadState:
         self.memory.rollback(checkpoint.mem_mark)
         self.pc = checkpoint.pc
         self.halted = False
-
-    def commit_journals(self) -> None:
-        """Discard undo history (state observed so far becomes final)."""
-        self.regs.commit()
-        self.memory.commit()

@@ -255,14 +255,6 @@ def snapshot_digest(snapshot: Snapshot) -> str:
     return payload_digest(SnapshotStore.encode(snapshot))
 
 
-def chain_digest(digests: list[str] | tuple[str, ...]) -> str:
-    """Digest of a whole chain: SHA-256 over its members' digests in
-    depth order. ``test_chain_digest_deterministic_across_stores``
-    compares this across two independent builds."""
-    joined = "\n".join(digests).encode()
-    return hashlib.sha256(joined).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Layer 1: the functional fast-forward tier
 # ----------------------------------------------------------------------

@@ -153,9 +153,6 @@ class FaultPlan:
                 return kind
         return None
 
-    def should_corrupt(self, request) -> bool:
-        return request_key(request) in self.corrupt_keys
-
     @property
     def active(self) -> bool:
         """Does this plan inject anything at all?"""

@@ -596,10 +596,6 @@ class MatrixReport:
         return sum(1 for o in self.outcomes if o.status == "cached")
 
     @property
-    def total_attempts(self) -> int:
-        return sum(o.attempts for o in _unique_outcomes(self.outcomes))
-
-    @property
     def snapshot_hits(self) -> int:
         """Warmed snapshots restored from the on-disk store instead of
         built (chain members included)."""
@@ -610,21 +606,6 @@ class MatrixReport:
             if o.stats.sample_regions:
                 total += o.stats.snapshot_hits
             elif o.stats.snapshot_hit:
-                total += 1
-        return total
-
-    @property
-    def sampled_regions(self) -> int:
-        """Detailed windows run under sampling (a multi-region run
-        contributes its region count; a single-window sampled run
-        contributes 1)."""
-        total = 0
-        for o in _unique_outcomes(self.outcomes):
-            if o.stats is None:
-                continue
-            if o.stats.sample_regions:
-                total += o.stats.sample_regions
-            elif o.stats.ff_insts:
                 total += 1
         return total
 

@@ -15,7 +15,6 @@ from repro.isa.opcodes import (
     base_latency,
     op_class,
 )
-from repro.isa.parser import ParseError, parse_assembly
 from repro.isa.program import Program
 
 __all__ = [
@@ -29,13 +28,11 @@ __all__ = [
     "Instruction",
     "MEM_OPS",
     "OpClass",
-    "ParseError",
     "Opcode",
     "Program",
     "ZERO_REG",
     "base_latency",
     "disassemble",
-    "parse_assembly",
     "format_instruction",
     "op_class",
     "parse_reg",

@@ -94,11 +94,6 @@ class Assembler:
         """Allocate *words* zeroed words named *symbol*; return base address."""
         return self.data_words(symbol, [0] * words)
 
-    def data_align(self, boundary: int) -> None:
-        """Advance the data cursor to a byte *boundary* (power of two)."""
-        mask = boundary - 1
-        self._data_cursor = (self._data_cursor + mask) & ~mask
-
     def addr_of(self, symbol: str) -> int:
         """Return the address of an already-allocated data symbol."""
         return self._data_symbols[symbol]

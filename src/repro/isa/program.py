@@ -135,14 +135,6 @@ class Program:
             self._blocks = blocks
         return blocks
 
-    def block_at(self, pc: int) -> BasicBlock | None:
-        """Return the basic block *starting* at ``pc``, if any.
-
-        Mid-block PCs return ``None`` by design: a wrong-path fetch may
-        land anywhere, and only a true leader entry is fusable.
-        """
-        return self.basic_blocks().get(pc)
-
     def drop_block_caches(self) -> None:
         """Invalidate the block cache (and compiled-block consumers).
 
@@ -189,27 +181,3 @@ class Program:
     def addr_of(self, symbol: str) -> int:
         """Return the byte address of a data symbol."""
         return self.data_symbols[symbol]
-
-    def merged_with(self, other: "Program") -> "Program":
-        """Return a new program containing this program plus *other*.
-
-        Used to place slice code alongside main-thread code in the same
-        instruction space (the paper stores slices "as normal
-        instructions in the instruction cache", Section 4.2). PCs must
-        not overlap.
-        """
-        overlap = self._by_pc.keys() & other._by_pc.keys()
-        if overlap:
-            raise ValueError(f"programs overlap at PCs: {sorted(overlap)[:4]}")
-        dup_labels = self.labels.keys() & other.labels.keys()
-        if dup_labels:
-            raise ValueError(f"duplicate labels: {sorted(dup_labels)[:4]}")
-        merged = Program(
-            instructions=self.instructions + other.instructions,
-            base_pc=min(self.base_pc, other.base_pc),
-            data={**self.data, **other.data},
-            labels={**self.labels, **other.labels},
-            data_symbols={**self.data_symbols, **other.data_symbols},
-            entry_pc=self.entry_pc,
-        )
-        return merged

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 from repro.isa.assembler import Assembler
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import CONDITIONAL_BRANCHES, Opcode
 from repro.slices.builder import StaticSlice, TraceEntry, build_static_slice, collect_trace
 from repro.slices.optimize import (
     OptimizationReport,

@@ -12,7 +12,7 @@ un-optimized static slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.exceptions import Fault
 from repro.arch.interpreter import ExecResult, run_functional
@@ -142,14 +142,6 @@ class StaticSlice:
     @property
     def static_size(self) -> int:
         return len(self.pcs)
-
-    @property
-    def fetch_constrained_height(self) -> float:
-        """Roth & Sohi's approximate benefit metric: how much earlier
-        the slice can compute the target than the program can fetch it
-        (dynamic size is what the slice must fetch; the dataflow height
-        bounds how fast it can execute)."""
-        return self.mean_dataflow_height / max(self.mean_dynamic_size, 1.0)
 
 
 def build_static_slice(

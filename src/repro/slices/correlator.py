@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.slices.spec import KillKind, PGIKind, PGISpec, SliceHardwareConfig, SliceSpec
+from repro.slices.spec import KillKind, PGISpec, SliceHardwareConfig, SliceSpec
 
 
 class SlotState(enum.Enum):
@@ -201,12 +201,6 @@ class PredictionCorrelator:
             )
             if kill.skip_first and kill.skip_scope == "global":
                 self._global_skip_pending.add(kill.kill_pc)
-
-    def covers_branch(self, pc: int) -> bool:
-        return pc in self._entries
-
-    def is_kill_pc(self, pc: int) -> bool:
-        return pc in self._kill_map
 
     # ------------------------------------------------------------------
     # Slice lifecycle
@@ -611,7 +605,3 @@ class PredictionCorrelator:
     def queue_for(self, branch_pc: int) -> list[PredictionSlot]:
         entry = self._entries.get(branch_pc)
         return list(entry.slots) if entry else []
-
-    def live_predictions(self, branch_pc: int) -> list[PredictionSlot]:
-        entry = self._entries.get(branch_pc)
-        return [s for s in entry.slots if s.live] if entry else []

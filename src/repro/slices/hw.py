@@ -83,9 +83,6 @@ class SliceTable:
     def __len__(self) -> int:
         return self._count
 
-    def all_slices(self) -> list[SliceSpec]:
-        return list(self._in_order)
-
 
 class PGITableFullError(Exception):
     """Raised when slices carry more PGIs than the table has entries."""

@@ -42,10 +42,6 @@ class OptimizationReport:
         if count:
             self.removed[pass_name] = self.removed.get(pass_name, 0) + count
 
-    @property
-    def total_removed(self) -> int:
-        return sum(self.removed.values())
-
 
 def _clone(insts: list[Instruction]) -> list[Instruction]:
     return [copy.copy(inst) for inst in insts]

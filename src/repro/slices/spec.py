@@ -192,9 +192,3 @@ class SliceSpec:
     @property
     def covered_load_pcs(self) -> frozenset[int]:
         return frozenset(self.prefetch_for.values())
-
-    def pgi_at(self, slice_pc: int) -> PGISpec | None:
-        for pgi in self.pgis:
-            if pgi.slice_pc == slice_pc:
-                return pgi
-        return None

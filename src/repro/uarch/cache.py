@@ -11,9 +11,9 @@ contention are enforced by the core (which owns the load/store ports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.uarch.config import CacheConfig, MachineConfig, PrefetchConfig
+from repro.uarch.config import CacheConfig, MachineConfig
 
 
 class SetAssociativeCache:
@@ -89,14 +89,6 @@ class SetAssociativeCache:
         bucket.append((line << 1) | dirty)
         return victim
 
-    def invalidate(self, addr: int) -> None:
-        """Drop the line containing *addr* if present."""
-        line = addr >> self._line_shift
-        bucket = self._sets[line & self._set_mask]
-        self._sets[line & self._set_mask] = [
-            entry for entry in bucket if entry >> 1 != line
-        ]
-
     def image(self) -> list[list[tuple[int, bool]]]:
         """Picklable copy of the sets in the legacy
         ``(line_addr, dirty_bool)`` tuple form (MRU last)."""
@@ -111,10 +103,6 @@ class SetAssociativeCache:
             [(line << 1) | (1 if dirty else 0) for line, dirty in bucket]
             for bucket in image
         ]
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
 
 class PrefetchVictimBuffer:
@@ -340,38 +328,6 @@ class DataHierarchy:
             self.l2.fill(addr)
         self.buffer.insert(addr, from_prefetch=True)
         self._arrival[self.l1.line_of(addr)] = now + fill_latency
-
-    def next_fill_arrival(self, now: int) -> int | None:
-        """Earliest cycle after *now* at which an in-flight fill lands.
-
-        Exposes pending-fill timing to the event-driven core's
-        next-event computation instead of leaving it buried in the
-        latencies of already-scheduled completions. Arrivals at or
-        before *now* are pruned as a side effect — the same lazy
-        expiry :meth:`_pending_extra` performs per line — so the
-        tracking map cannot grow without bound between demand accesses.
-        """
-        arrival = self._arrival
-        if not arrival:
-            return None
-        best = None
-        expired = None
-        for line, cycle in arrival.items():
-            if cycle <= now:
-                if expired is None:
-                    expired = [line]
-                else:
-                    expired.append(line)
-            elif best is None or cycle < best:
-                best = cycle
-        if expired is not None:
-            for line in expired:
-                del arrival[line]
-        return best
-
-    def would_miss(self, addr: int) -> bool:
-        """Non-destructive check: would a load of *addr* miss the L1?"""
-        return not (self.l1.probe(addr) or self.buffer.contains(addr))
 
     # ------------------------------------------------------------------
     # Functional-warming images (sampled simulation)

@@ -26,8 +26,6 @@ core's commit stream is directly comparable to a pure functional run
 
 from __future__ import annotations
 
-import hashlib
-
 #: One record per committed main-thread instruction.
 CommitRecord = tuple[int, int, int | None, int | None, int | None]
 
@@ -56,19 +54,6 @@ def attach_commit_tap(core, sink: list | None = None) -> list:
 
     core._commit_main = tapped
     return sink
-
-
-def stream_digest(records) -> str:
-    """Hex SHA-256 over a commit stream (or any record slice).
-
-    Canonical ``repr`` encoding: records are plain int/None tuples, so
-    ``repr`` is stable across processes and Python builds.
-    """
-    hasher = hashlib.sha256()
-    for record in records:
-        hasher.update(repr(record).encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest()
 
 
 def first_mismatch(a, b) -> int | None:

@@ -390,30 +390,6 @@ class Core:
     # Event-driven cycle skipping
     # ==================================================================
 
-    def _next_event_cycle(self) -> int | None:
-        """Earliest future cycle at which any machine state can change.
-
-        Aggregates every wake-up source: the completion heap's head
-        (execution results, branch resolutions, squashes), the ready
-        heap's head (instructions still traversing the front end or
-        deferred by structural hazards), and the data hierarchy's
-        earliest in-flight fill arrival. Returns ``None`` when nothing
-        at all is pending.
-        """
-        target = None
-        completions = self._completions
-        if completions:
-            target = completions[0][0]
-        ready = self._ready
-        if ready:
-            arrival = ready[0][0]
-            if target is None or arrival < target:
-                target = arrival
-        fill = self.hierarchy.next_fill_arrival(self.cycle)
-        if fill is not None and (target is None or fill < target):
-            target = fill
-        return target
-
     def _skip_target(self, max_cycles: int) -> int:
         """Next cycle the loop must actually simulate (``>= cycle+1``).
 
@@ -424,13 +400,12 @@ class Core:
         clamped to *max_cycles* so the cycle-limit path is identical to
         stepping.
 
-        Unlike :meth:`_next_event_cycle`, in-flight cache fills are
-        deliberately *not* wake-up events here: no core-visible state
-        changes when a fill lands — a fill is only observed by a later
-        demand access, and every access cycle is preserved exactly by
-        the completion/ready/fetch conditions — so waking for them
-        would only fragment skips (and scan the arrival map) for no
-        semantic effect.
+        In-flight cache fills are deliberately *not* wake-up events:
+        no core-visible state changes when a fill lands — a fill is
+        only observed by a later demand access, and every access cycle
+        is preserved exactly by the completion/ready/fetch conditions —
+        so waking for them would only fragment skips (and scan the
+        arrival map) for no semantic effect.
         """
         step = self.cycle + 1
         target = None
@@ -470,14 +445,13 @@ class Core:
         return all(not t.rob for t in self.threads if t.active)
 
     def _deadlock_message(self) -> str:
-        """Diagnostic for a deadlocked core, including the computed
-        next-event state (what the event-driven loop would wait on)."""
+        """Diagnostic for a deadlocked core: the wake-up sources
+        :meth:`_skip_target` reads, all of them empty or stalled."""
         fetchable = [t.thread_id for t in self.threads if t.can_fetch]
         return (
             f"core deadlock at cycle {self.cycle}: main thread stalled at "
             f"pc={self._main.state.pc:#x} with nothing in flight "
-            f"(next_event_cycle={self._next_event_cycle()!r}, "
-            f"ready={len(self._ready)}, completions={len(self._completions)}, "
+            f"(ready={len(self._ready)}, completions={len(self._completions)}, "
             f"fetchable_threads={fetchable}, "
             f"window={self._window_count}/{self.config.window_entries})"
         )

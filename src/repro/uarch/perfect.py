@@ -33,15 +33,6 @@ class PerfectSpec:
     def load_is_perfect(self, pc: int) -> bool:
         return self.all_loads or pc in self.load_pcs
 
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.all_branches
-            or self.all_loads
-            or self.branch_pcs
-            or self.load_pcs
-        )
-
 
 #: No idealization: the baseline machine.
 NO_PERFECT = PerfectSpec()

@@ -164,7 +164,7 @@ def any_fetchable(threads: list[ThreadContext]) -> bool:
     The event-driven core may not skip cycles while this holds: a
     fetchable thread performs work every cycle, so fetch stalls (and
     their release by a squash) are the per-thread wake-up condition
-    aggregated into :meth:`Core._next_event_cycle`'s skip decision.
+    aggregated into :meth:`Core._skip_target`'s skip decision.
     """
     for thread in threads:
         if thread.active and not thread.fetch_stalled:

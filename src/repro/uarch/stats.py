@@ -211,30 +211,6 @@ class RunStats:
             return 0.0
         return mean_ci95(self.region_ipcs)[1]
 
-    @property
-    def cpi(self) -> float:
-        """Cycles per committed instruction over the measured region —
-        the region-CPI of a sampled run (fast-forward prefix and the
-        detailed-warming discard window are excluded by construction:
-        stats reset at the warmup boundary)."""
-        return self.cycles / self.committed if self.committed else 0.0
-
-    @property
-    def total_fetched(self) -> int:
-        return self.main_fetched + self.slice_fetched
-
-    @property
-    def mispredict_rate(self) -> float:
-        if not self.branches_committed:
-            return 0.0
-        return self.branch_mispredictions / self.branches_committed
-
-    @property
-    def load_miss_rate(self) -> float:
-        if not self.loads_committed:
-            return 0.0
-        return self.load_misses / self.loads_committed
-
     def count_branch(self, pc: int, mispredicted: bool) -> None:
         counter = self.branch_pcs.get(pc)
         if counter is None:

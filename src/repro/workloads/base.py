@@ -17,7 +17,7 @@ the L1 cache").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.memory import to_signed
 from repro.isa.program import Program

@@ -89,8 +89,3 @@ def build(name: str, scale: float = 1.0) -> Workload:
 
 def all_names() -> tuple[str, ...]:
     return tuple(WORKLOAD_BUILDERS)
-
-
-def build_all(scale: float = 1.0) -> list[Workload]:
-    """Build every workload at the given *scale*."""
-    return [build(name, scale) for name in WORKLOAD_BUILDERS]

@@ -58,14 +58,18 @@ def test_memory_commit_truncates_journal():
     mem.store(0x100, 1)
     mem.store(0x108, 2)
     mem.commit()
-    assert mem.journal_length == 0
+    assert mem.mark() == 0
+    mem.rollback(0)  # nothing left to undo: both writes are final
     assert mem.load(0x100) == 1
+    assert mem.load(0x108) == 2
 
 
 def test_memory_journaling_disabled():
     mem = Memory(journaling=False)
     mem.store(0x100, 1)
-    assert mem.journal_length == 0
+    assert mem.mark() == 0
+    mem.rollback(0)
+    assert mem.load(0x100) == 1
 
 
 def test_regfile_r31_is_zero():

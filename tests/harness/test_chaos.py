@@ -81,8 +81,7 @@ def test_targeting_builds_exact_plan():
     assert plan.fault_for(VPR_BASE, 0) is FaultKind.CRASH
     assert plan.fault_for(VPR_BASE, 1) is None
     assert plan.fault_for(GZIP_BASE, 1) is FaultKind.FLAKY
-    assert plan.should_corrupt(VPR_SLICE)
-    assert not plan.should_corrupt(VPR_BASE)
+    assert plan.corrupt_keys == {request_key(VPR_SLICE)}
     assert plan.active
 
 
@@ -364,7 +363,7 @@ def test_combined_crash_timeout_and_corruption_converge(tmp_path, monkeypatch):
     assert by_request[VPR_SLICE].attempts >= 2
     for outcome in report.outcomes:
         assert 1 <= outcome.attempts <= 3
-    assert report.total_attempts == sum(o.attempts for o in report.outcomes)
+    assert sum(o.attempts for o in report.outcomes) >= len(MATRIX) + 2
     assert report.pool_respawns >= 1
     # The corrupted entry was quarantined, rerun, and rewritten.
     assert cache.get(GZIP_BASE) is not None

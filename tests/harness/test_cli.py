@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import io
 import os
 
 import pytest
@@ -189,7 +188,7 @@ def test_deadlock_exits_2_without_traceback(monkeypatch, capsys):
     def deadlocking(scale=None):
         raise DeadlockError(
             "simulated machine deadlock at cycle 42 "
-            "(next_event_cycle=none)",
+            "(ready=0, completions=0, fetchable_threads=[])",
             cycle=42,
         )
 
@@ -226,3 +225,39 @@ def test_skipped_requests_exit_3_and_list_holes(monkeypatch, capsys):
     assert "skipped" in captured.err
     assert "gzip/base" in captured.err
     assert "injected transient failure" in captured.err
+
+
+def test_skip_policy_clean_run_exits_0(monkeypatch, tmp_path, capsys):
+    """The resilience flags leave a run without failures clean: exit 0
+    and no skipped requests reported."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    code = main([
+        "table2", "--scale", "0.05", "--timeout", "600", "--retries", "2",
+        "--on-error", "skip",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Table 2" in captured.out
+    assert "skipped" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure11", "--scale", "0.05"],
+        ["table4", "--sampled", "--horizon", "25000"],
+        ["figure1", "--scale", "0.05"],
+    ],
+    ids=["figure11", "table4-sampled", "figure1"],
+)
+def test_warm_rerender_is_byte_identical(monkeypatch, tmp_path, argv):
+    """A warm-cache re-render is a pure cache replay through the
+    parallel harness: the same text, byte for byte. Figure 1 also
+    covers the two-phase matrix (baselines, then the perfect overlays
+    built from the profiled PCs)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cold, warm = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    assert main([*argv, "--jobs", "2", "--out", str(cold)]) == 0
+    assert main([*argv, "--jobs", "2", "--out", str(warm)]) == 0
+    assert cold.read_bytes()
+    assert warm.read_bytes() == cold.read_bytes()

@@ -70,14 +70,6 @@ def test_data_allocation_is_word_granular():
     assert prog.addr_of("b") == b
 
 
-def test_data_align():
-    asm = Assembler()
-    asm.data_word("a", 1)
-    asm.data_align(64)
-    b = asm.data_word("b", 2)
-    assert b % 64 == 0
-
-
 def test_duplicate_data_symbol_raises():
     asm = Assembler()
     asm.data_word("a")
@@ -125,27 +117,3 @@ def test_comment_attaches_to_next_instruction():
     inst = asm.li("r1", 0)
     assert inst.comment == "the loop counter"
     assert asm.nop().comment == ""
-
-
-def test_merged_with_combines_programs():
-    main = Assembler(base_pc=0x1000)
-    main.label("m")
-    main.halt()
-    slice_asm = Assembler(base_pc=0x9000)
-    slice_asm.label("s")
-    slice_asm.halt()
-    merged = main.build().merged_with(slice_asm.build())
-    assert merged.at(0x1000) is not None
-    assert merged.at(0x9000) is not None
-    assert merged.pc_of("m") == 0x1000
-    assert merged.pc_of("s") == 0x9000
-    assert merged.entry_pc == 0x1000
-
-
-def test_merged_with_rejects_overlap():
-    a = Assembler(base_pc=0x1000)
-    a.halt()
-    b = Assembler(base_pc=0x1000)
-    b.halt()
-    with pytest.raises(ValueError, match="overlap"):
-        a.build().merged_with(b.build())

@@ -87,7 +87,7 @@ def test_figure9_walkthrough():
     # Loop exits (block G) -> remaining predictions killed.
     assert correlator.on_kill_fetched(SLICE_KILL_PC, vn + 3) == 1
     assert p3.killed
-    assert correlator.live_predictions(BRANCH_PC) == []
+    assert not any(s.live for s in correlator.queue_for(BRANCH_PC))
 
 
 def test_full_match_overrides_with_slice_direction():

@@ -43,8 +43,6 @@ def test_spec_reports_sizes_and_coverage():
     spec = make_slice(n_pgis=2)
     assert spec.static_size == len(spec.code)
     assert spec.covered_branch_pcs == {0x2000, 0x2004}
-    assert spec.pgi_at(spec.pgis[0].slice_pc) is spec.pgis[0]
-    assert spec.pgi_at(0xDEAD) is None
 
 
 def test_spec_requires_loop_back_pc_with_max_iterations():
@@ -92,7 +90,6 @@ def test_slice_table_match():
     assert table.match(spec.fork_pc) == [spec]
     assert table.match(0xBEEF) == []
     assert len(table) == 1
-    assert table.all_slices() == [spec]
 
 
 def test_slice_table_capacity_enforced():

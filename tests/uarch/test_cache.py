@@ -49,8 +49,9 @@ def test_fill_existing_line_is_not_duplicate():
     cache = small_cache()
     cache.fill(0x1000)
     assert cache.fill(0x1000, dirty=True) is None
-    cache.invalidate(0x1000)
-    assert not cache.probe(0x1000)
+    line = cache.line_of(0x1000)
+    entries = [e for bucket in cache.image() for e in bucket if e[0] == line]
+    assert entries == [(line, True)]
 
 
 def test_store_sets_dirty_and_eviction_reports_it():
@@ -162,15 +163,6 @@ def test_miss_listener_fires_on_misses_and_buffer_hits():
     hier.prefetch_fill(0x9000)
     hier.access(0x9000, is_store=False)  # buffer hit: trains streams
     assert seen == [0x4000, 0x9000]
-
-
-def test_would_miss_probe_is_non_destructive():
-    hier = DataHierarchy(FOUR_WIDE)
-    assert hier.would_miss(0x4000)
-    before = hier.l1.accesses
-    assert hier.l1.accesses == before
-    hier.access(0x4000, is_store=False)
-    assert not hier.would_miss(0x4000)
 
 
 @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=200))

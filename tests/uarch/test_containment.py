@@ -202,7 +202,7 @@ def test_static_boundedness_analysis(program_and_fork):
 
 def test_deadlock_raises_typed_error_with_diagnostic():
     """The deadlock path raises DeadlockError (still a RuntimeError for
-    old callers) carrying the cycle and next-event diagnostic."""
+    old callers) carrying the cycle and the empty wake-up sources."""
     asm = Assembler()
     asm.li("r1", 1)
     asm.jr("r2")  # jump to PC 0: fetch runs off the program
@@ -212,4 +212,6 @@ def test_deadlock_raises_typed_error_with_diagnostic():
         core.run()
     assert isinstance(excinfo.value, RuntimeError)
     assert excinfo.value.cycle is not None
-    assert "next_event_cycle" in str(excinfo.value)
+    message = str(excinfo.value)
+    assert "ready=0, completions=0, fetchable_threads=[]" in message
+    assert f"core deadlock at cycle {excinfo.value.cycle}:" in message

@@ -2,9 +2,9 @@
 
 The differential guarantee (skipping vs. stepping is bit-identical on
 every registered workload) lives in ``tests/harness/test_determinism``;
-this module unit-tests the skip machinery itself: the next-event
-computation, the skip-target decision, bulk CPI attribution, and the
-event-aware deadlock diagnostic.
+this module unit-tests the skip machinery itself: the skip-target
+decision, bulk CPI attribution, and the event-aware deadlock
+diagnostic.
 """
 
 import heapq
@@ -39,45 +39,6 @@ def pointer_chase(asm):
     asm.ld("r1", "r1")
     asm.bne("r1", "loop")
     asm.halt()
-
-
-# ----------------------------------------------------------------------
-# _next_event_cycle
-# ----------------------------------------------------------------------
-
-
-def test_next_event_cycle_empty_heaps():
-    core = make_core()
-    assert core._next_event_cycle() is None
-
-
-def test_next_event_cycle_reads_completion_heap_head():
-    core = make_core()
-    heapq.heappush(core._completions, (42, 0, None))
-    assert core._next_event_cycle() == 42
-
-
-def test_next_event_cycle_takes_earliest_source():
-    core = make_core()
-    heapq.heappush(core._completions, (42, 0, None))
-    heapq.heappush(core._ready, (7, 0, None))
-    assert core._next_event_cycle() == 7
-
-
-def test_next_event_cycle_sees_in_flight_fill():
-    core = make_core()
-    core.hierarchy.prefetch_fill(0x10000, now=0)
-    arrival = core.hierarchy.next_fill_arrival(0)
-    assert arrival is not None and arrival > 0
-    assert core._next_event_cycle() == arrival
-
-
-def test_next_fill_arrival_prunes_expired_entries():
-    core = make_core()
-    core.hierarchy.prefetch_fill(0x10000, now=0)
-    arrival = core.hierarchy.next_fill_arrival(0)
-    assert core.hierarchy.next_fill_arrival(arrival) is None
-    assert not core.hierarchy._arrival
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +151,9 @@ def test_deadlock_detected_with_event_state_in_message(event_driven):
     asm = Assembler()
     asm.li("r1", 1)  # no HALT: fetch runs off the program and stalls
     core = Core(asm.build(), FOUR_WIDE, event_driven=event_driven)
-    with pytest.raises(RuntimeError, match="next_event_cycle=None"):
+    with pytest.raises(
+        RuntimeError, match=r"ready=0, completions=0, fetchable_threads=\[\]"
+    ):
         core.run()
 
 

@@ -10,13 +10,13 @@ from repro.uarch.stats import PcCounter, RunStats
 
 
 def test_no_perfect_is_empty():
-    assert NO_PERFECT.is_empty
+    assert not (NO_PERFECT.all_branches or NO_PERFECT.all_loads)
+    assert not (NO_PERFECT.branch_pcs or NO_PERFECT.load_pcs)
     assert not NO_PERFECT.branch_is_perfect(0x100)
     assert not NO_PERFECT.load_is_perfect(0x100)
 
 
 def test_all_perfect_matches_everything():
-    assert not ALL_PERFECT.is_empty
     assert ALL_PERFECT.branch_is_perfect(0xDEAD)
     assert ALL_PERFECT.load_is_perfect(0xBEEF)
 
@@ -27,7 +27,6 @@ def test_problem_perfect_is_selective():
     assert not spec.branch_is_perfect(0x20)
     assert spec.load_is_perfect(0x20)
     assert not spec.load_is_perfect(0x10)
-    assert not spec.is_empty
 
 
 def test_table1_presets():
@@ -67,13 +66,6 @@ def test_run_stats_rates_and_counters():
     assert stats.branch_pcs[0x10].events == 1
     assert stats.mem_pcs[0x20].rate == 1.0
     assert RunStats().ipc == 0.0
-    assert RunStats().mispredict_rate == 0.0
-    assert RunStats().load_miss_rate == 0.0
-
-
-def test_total_fetched_sums_threads():
-    stats = RunStats(main_fetched=100, slice_fetched=40)
-    assert stats.total_fetched == 140
 
 
 def test_frozen_configs_are_immutable():
