@@ -1,20 +1,17 @@
 """Interpreter microbenchmark: raw functional ``execute()`` throughput.
 
 The simulator's floor is the speed of the functional executor itself —
-every fetched instruction (right path or wrong) runs through either a
-per-instruction compiled closure (:func:`repro.arch.interpreter.execute`)
-or a fused basic-block segment. This bench measures both tiers in
-isolation, with no out-of-order machinery around them, so per-cycle
-scheduling costs can be separated from raw execution costs when a
-throughput regression shows up.
+every fetched instruction (right path or wrong) runs through its
+per-instruction compiled closure (:func:`repro.arch.interpreter.execute`).
+This bench measures that tier in isolation, with no out-of-order
+machinery around it, so per-cycle scheduling costs can be separated
+from raw execution costs when a throughput regression shows up.
 
 The workload is vpr's real instruction stream (entry block onward),
-executed architecturally: the same straight-line code the fused tier
-compiles in anger. Results merge into ``BENCH_throughput.json`` under
+executed architecturally: the same code the detailed core executes at
+fetch. Results merge into ``BENCH_throughput.json`` under
 ``interpreter`` next to the whole-simulator regimes.
 """
-
-from conftest import RESULTS_DIR  # noqa: F401  (shared results dir)
 
 from bench_simulator_throughput import _merge_results
 

@@ -43,8 +43,6 @@ import dataclasses
 import os
 import time
 
-from conftest import RESULTS_DIR  # noqa: F401  (shared results dir)
-
 from bench_simulator_throughput import _merge_results
 
 from repro.harness.bench import REGIMES, best_rate

@@ -17,8 +17,6 @@ this bench landed — the flat-array hierarchy, O(1) stream matching,
 and trace-compiled warm tier together; see DESIGN.md).
 """
 
-from conftest import RESULTS_DIR  # noqa: F401  (shared results dir)
-
 from bench_simulator_throughput import _merge_results
 
 from repro.harness.bench import (

@@ -9,7 +9,7 @@ Run:  python examples/correlator_walkthrough.py
 """
 
 from repro.isa import Assembler
-from repro.slices.correlator import PredictionCorrelator, SlotState
+from repro.slices.correlator import PredictionCorrelator
 from repro.slices.spec import KillKind, KillSpec, PGISpec, SliceSpec
 
 BRANCH_PC = 0x2000  # block D: the problem branch

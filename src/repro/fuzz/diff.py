@@ -5,9 +5,9 @@ timing, trivially auditable. Every detailed configuration must commit
 exactly the reference's dynamic instruction sequence with the same
 per-instruction observables (the commit-tap record, see
 :mod:`repro.uarch.commitlog`), and configurations that only differ in
-*simulation strategy* — stepping vs. event-driven scheduling, fused
-vs. per-instruction execution — must additionally produce bit-identical
-``RunStats`` up to :data:`~repro.uarch.stats.SIMULATOR_META_FIELDS`.
+*simulation strategy* — stepping vs. event-driven scheduling — must
+additionally produce bit-identical ``RunStats`` up to
+:data:`~repro.uarch.stats.SIMULATOR_META_FIELDS`.
 
 Tier matrix per workload (slice variants run twice, with and without
 the workload's slices — slices prefetch, so the architecture must not
@@ -17,12 +17,8 @@ move):
 tier        what runs
 ========== ===========================================================
 interp      ``run_functional`` — the reference commit stream
-step        detailed core, stepping scheduler, per-instruction
-event       detailed core, event-driven scheduler, per-instruction
-step-fused  stepping scheduler, fused basic blocks installed on their
-            first entry (``hot_threshold=1``: short programs rarely
-            heat a PC the default 8 times within one Core)
-event-fused event-driven scheduler, fused basic blocks
+step        detailed core, stepping scheduler
+event       detailed core, event-driven scheduler
 ff          ``fast_forward`` warming executor, state checked at depth K
 snapshot    detailed run resumed from the depth-K snapshot
 chained     ``iter_chain`` members vs straight builds + a detailed
@@ -60,14 +56,13 @@ from repro.workloads.base import Workload
 
 #: Detailed full-run tiers, in classification order.
 DETAILED_TIERS = (
-    ("step", dict(event_driven=False, fused_blocks=False)),
-    ("event", dict(event_driven=True, fused_blocks=False)),
-    (
-        "step-fused",
-        dict(event_driven=False, fused_blocks=True, hot_threshold=1),
-    ),
-    ("event-fused", dict(event_driven=True, fused_blocks=True)),
+    ("step", dict(event_driven=False)),
+    ("event", dict(event_driven=True)),
 )
+
+#: Core options of the tiers resumed from a snapshot (``snapshot``,
+#: ``chained``): the event-driven scheduler every real run uses.
+_RESUMED_OPTS = dict(DETAILED_TIERS)["event"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class Divergence:
 
     seed: int
     scale: float
-    #: First disagreeing tier pair, e.g. ``("interp", "event-fused")``.
+    #: First disagreeing tier pair, e.g. ``("interp", "event")``.
     tier_a: str
     tier_b: str
     #: ``stream`` (commit records), ``stats`` (RunStats fields),
@@ -88,7 +83,7 @@ class Divergence:
 
     @property
     def klass(self) -> str:
-        """Stable classification label (``stream:interp/event-fused``)."""
+        """Stable classification label (``stream:interp/event``)."""
         return f"{self.kind}:{self.tier_a}/{self.tier_b}"
 
     def __str__(self) -> str:
@@ -283,7 +278,7 @@ def check_workload(
 
         # -- detailed run resumed from the snapshot --------------------
         run, crashed = run_tier(
-            "snapshot", config, (), dict(DETAILED_TIERS[3][1]),
+            "snapshot", config, (), _RESUMED_OPTS,
             snapshot=snap, region=workload.region - k,
         )
         if crashed is not None:
@@ -318,7 +313,7 @@ def check_workload(
             warmup = min(24, (workload.region - depth) // 4)
             sample = min(300, workload.region - depth - warmup)
             run, crashed = run_tier(
-                f"chained@{depth}", config, (), dict(DETAILED_TIERS[1][1]),
+                f"chained@{depth}", config, (), _RESUMED_OPTS,
                 snapshot=member, warmup=warmup, region=sample,
             )
             if crashed is not None:

@@ -8,8 +8,7 @@ answer "where does the time go" without hand-building a workload:
 
 * **balanced** — slice-assisted vpr at the default machine: fetch,
   issue, and commit are all busy most cycles, so this tracks the cost
-  of the per-cycle work itself. The fused basic-block tier targets
-  this regime.
+  of the per-cycle work itself.
 * **memory_bound** — mcf (slices off) on a far-memory machine (small
   window, multi-thousand-cycle miss latency): nearly every cycle is
   idle miss-wait, the regime the event-driven skipping loop targets.
@@ -96,8 +95,8 @@ class BenchRegime:
 
     def build_core(self, workload=None, **overrides) -> Core:
         """Build a Core; pass a prebuilt *workload* to share its Program
-        (and therefore the program-wide fused-segment cache) across
-        rounds — a fresh build would re-pay segment warmup every time.
+        (and therefore its compiled instruction closures) across rounds
+        — a fresh build would re-pay that warmup every time.
 
         For a sampled regime, the warmed snapshot is fetched (or built)
         here — construction is untimed in :func:`run_regime`, matching
@@ -259,6 +258,10 @@ REGIMES: dict[str, BenchRegime] = {
 }
 
 
+#: What the ``interpreter`` regime measures.
+INTERPRETER_DESCRIPTION = "functional execute() tier, vpr instruction stream"
+
+
 def _run_multi_region(regime: BenchRegime, workload) -> tuple[RunStats, float]:
     """One timed multi-region run: fresh in-memory chain build plus
     every detailed window.
@@ -382,10 +385,10 @@ def best_rate(
     """Best-of-*rounds* simulated-instructions-per-second for *regime*.
 
     Machine noise only ever slows a round down, so best-of-N converges
-    on the true cost. All rounds share one workload so fused segments
-    compiled in round 1 are cache hits afterwards (the steady state a
-    long experiment matrix sees). A sampled regime likewise shares one
-    warmed snapshot across rounds, and its rate counts every
+    on the true cost. All rounds share one workload so instruction
+    closures compiled in round 1 are reused afterwards (the steady
+    state a long experiment matrix sees). A sampled regime likewise
+    shares one warmed snapshot across rounds, and its rate counts every
     instruction the run covered (prefix + discard window + region).
     """
     # A window-parallel regime's workloads are built inside the pool
@@ -556,7 +559,7 @@ def run_all_regimes(rounds: int = 3) -> dict:
             results[name]["window_jobs"] = regime.window_jobs
     rate, executed = measure_interpreter_rate(rounds=rounds)
     results["interpreter"] = {
-        "description": "functional execute() tier, vpr instruction stream",
+        "description": INTERPRETER_DESCRIPTION,
         "workload": "vpr",
         "scale": 0.2,
         "mode": "functional",

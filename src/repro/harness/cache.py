@@ -42,6 +42,7 @@ __all__ = [
     "WindowCache",
     "content_key",
     "fingerprint",
+    "request_payload",
     "source_tree_hash",
     "window_fingerprint",
 ]
@@ -86,10 +87,20 @@ def content_key(payload: dict, source_hash: str | None = None) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def request_payload(request) -> dict:
+    """The canonical form of *request* that every key digests.
+
+    ``fused_blocks`` names a retired fetch tier that every request once
+    carried as ``True``; it stays in the payload as that constant so no
+    stored key moved when the tier was removed.
+    """
+    return {**dataclasses.asdict(request), "fused_blocks": True}
+
+
 def fingerprint(request, source_hash: str | None = None) -> str:
     """Content-addressed key for *request* (a ``RunRequest``)."""
     return content_key(
-        {"schema": SCHEMA_VERSION, "request": dataclasses.asdict(request)},
+        {"schema": SCHEMA_VERSION, "request": request_payload(request)},
         source_hash,
     )
 
@@ -108,7 +119,7 @@ def window_fingerprint(request, depth: int, source_hash: str | None = None) -> s
     on the same depths — therefore share entries for every common
     window instead of recomputing whole requests.
     """
-    base = dataclasses.asdict(request)
+    base = request_payload(request)
     sample = base.pop("sample")
     for field in ("fast_forward", "sample_regions", "sample_period"):
         base.pop(field)

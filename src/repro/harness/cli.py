@@ -56,6 +56,16 @@ from repro.harness.parallel import (
     skipped_outcomes,
 )
 
+#: Every regime ``repro bench`` accepts, in help order: the Core
+#: regimes of :data:`repro.harness.bench.REGIMES`, then the two
+#: functional tiers measured on their own. The help text and the
+#: dispatcher both read this tuple (the bench module is imported only
+#: when a bench runs).
+BENCH_REGIMES = (
+    "balanced", "memory_bound", "slice_heavy", "sampled", "sampled_multi",
+    "sampled_parallel", "interpreter", "warming",
+)
+
 EXPERIMENTS = {
     "table1": experiments.experiment_table1,
     "mix": experiments.experiment_workload_mix,
@@ -98,10 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "cache action: 'clear' / 'stats' (with 'cache'); snapshot "
             "action: 'ls' (default) / 'clear' (with 'snapshot'); bench "
-            "regime: 'balanced' / 'memory_bound' / 'slice_heavy' / "
-            "'interpreter' / 'sampled' / 'sampled_multi' / "
-            "'sampled_parallel' / 'warming' "
-            "(with 'bench', default 'balanced'); fuzz action: 'ls' "
+            "regime: " + " / ".join(f"'{name}'" for name in BENCH_REGIMES)
+            + " (with 'bench', default 'balanced'); fuzz action: 'ls' "
             "lists stored minimal repros"
         ),
     )
@@ -311,9 +319,13 @@ def run_bench(
     ``benchmarks/results/BENCH_all.json``.
     """
     from repro.harness.bench import (
+        INTERPRETER_DESCRIPTION,
         REGIMES,
         best_rate,
+        measure_interpreter_rate,
+        measure_warming_rate,
         profile_regime,
+        profile_warming,
         render_all_regimes,
         run_all_regimes,
     )
@@ -330,17 +342,26 @@ def run_bench(
         print(f"\nconsolidated results: {out_path}")
         return 0
     name = regime_name or "balanced"
+    if name not in BENCH_REGIMES:
+        known = ", ".join(BENCH_REGIMES)
+        print(f"unknown bench regime {name!r}; known: {known}", file=sys.stderr)
+        return 2
+    if name == "interpreter":
+        if profile:
+            print("bench interpreter has no --profile report", file=sys.stderr)
+            return 2
+        rate, executed = measure_interpreter_rate(rounds=3)
+        print(
+            f"interpreter: {INTERPRETER_DESCRIPTION}\n"
+            f"~{rate:,.0f} executed instructions/second "
+            f"({executed:,} per round, best of 3 runs)"
+        )
+        return 0
     if name == "warming":
         # Not a Core regime: measures the functional-warming loop
         # itself (repro.harness.fastforward._warm_loop) on the
         # far-memory pointer chase — the rate that bounds every
         # sampled figure's chain build.
-        from repro.harness.bench import (
-            WARMING_INSTS,
-            measure_warming_rate,
-            profile_warming,
-        )
-
         if profile:
             _rate, report = profile_warming()
             out_dir = pathlib.Path("benchmarks") / "results"
@@ -357,11 +378,7 @@ def run_bench(
             f"({insts:,} per round, best of 3 runs)"
         )
         return 0
-    regime = REGIMES.get(name)
-    if regime is None:
-        known = ", ".join((*REGIMES, "warming"))
-        print(f"unknown bench regime {name!r}; known: {known}", file=sys.stderr)
-        return 2
+    regime = REGIMES[name]
     if profile:
         stats, report = profile_regime(regime)
         out_dir = pathlib.Path("benchmarks") / "results"
@@ -378,9 +395,7 @@ def run_bench(
     print(
         f"{name}: {regime.description}\n"
         f"~{rate:,.0f} simulated instructions/second "
-        f"({stats.committed} committed{sampled}, best of 3 runs; "
-        f"{stats.blocks_compiled} fused segments, "
-        f"{stats.block_deopts} deopts)"
+        f"({stats.committed} committed{sampled}, best of 3 runs)"
     )
     return 0
 

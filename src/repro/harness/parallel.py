@@ -72,7 +72,6 @@ from repro.errors import RunTimeoutError, WorkerCrashError
 from repro.harness.cache import RunCache
 from repro.harness.runner import MODES, simulate
 from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
-from repro.uarch.fusion import fusion_default
 from repro.uarch.perfect import PerfectSpec
 from repro.uarch.stats import RunStats
 from repro.workloads import registry
@@ -132,10 +131,6 @@ class RunRequest:
     event_driven: bool = field(
         default_factory=lambda: not settings.get("no_skip")
     )
-    #: Fused basic-block execution tier. Stats are identical either way
-    #: (bar the fusion meta counters), but fingerprinted separately so
-    #: cached ``blocks_compiled`` / ``block_deopts`` stay honest.
-    fused_blocks: bool = field(default_factory=fusion_default)
     #: Sampled simulation (:mod:`repro.harness.fastforward`): execute
     #: this many instructions on the functional fast-forward tier (with
     #: functional warming), restoring the detailed core from the warmed
@@ -354,7 +349,6 @@ def execute_request(request: RunRequest, snapshots=None) -> RunStats:
             perfect=request.resolve_perfect(),
             dedicated=request.dedicated,
             event_driven=request.event_driven,
-            fused_blocks=request.fused_blocks,
             snapshot=snapshot,
             warmup=plan.warmup,
             region=plan.region,

@@ -59,7 +59,6 @@ def simulate(
     perfect: PerfectSpec | None = None,
     dedicated: bool = False,
     event_driven: bool = True,
-    fused_blocks: bool | None = None,
     snapshot=None,
     warmup: int = 0,
     region: int | None = None,
@@ -93,7 +92,6 @@ def simulate(
         snapshot=snapshot,
         workload_name=workload.name,
         event_driven=event_driven,
-        fused_blocks=fused_blocks,
         **_MODE_ARGS[mode](workload, slices, perfect, dedicated),
     ).run()
 

@@ -86,12 +86,6 @@ SETTINGS: tuple[Setting, ...] = (
         "(step every cycle; slower, for differential testing)",
     ),
     Setting(
-        "no_fuse", "REPRO_NO_FUSE", "--no-fuse", boolean, False,
-        "disable the fused basic-block execution tier (run every "
-        "instruction through its own closure; slower, for "
-        "differential testing)",
-    ),
-    Setting(
         "fast_forward", "REPRO_FAST_FORWARD", "--fast-forward", int, 0,
         "sampled simulation: execute the first N instructions of "
         "every run on the functional fast-forward tier (with "

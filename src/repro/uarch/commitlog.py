@@ -7,8 +7,7 @@ same dynamic instruction sequence with the same observable effects.
 errors cancel in a counter), so this module taps
 :meth:`Core._commit_main` — the single point every architecturally
 committed main-thread instruction passes through, on every tier
-(stepping or event-driven, fused or per-instruction, snapshot-restored
-or cold) — and records one tuple per commit.
+(stepping or event-driven, snapshot-restored or cold) — and records one tuple per commit.
 
 The tap wraps the bound method on one Core instance: it costs nothing
 when not attached, needs no Core constructor change, and sees commits

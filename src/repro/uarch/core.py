@@ -35,13 +35,6 @@ from repro.uarch.branch.frontend_predictor import BranchPrediction, FrontEndPred
 from repro.uarch.cache import DataHierarchy
 from repro.uarch.confidence import ForkConfidenceEstimator
 from repro.uarch.config import FOUR_WIDE, MachineConfig
-from repro.uarch.fusion import (
-    FUSABLE_OPS,
-    HOT_THRESHOLD,
-    MIN_FUSE_LEN,
-    compile_segment,
-    fusion_default,
-)
 from repro.uarch.perfect import NO_PERFECT, PerfectSpec
 from repro.uarch.prefetch import StreamPrefetcher
 from repro.uarch.smt import ThreadContext, ThreadKind, any_fetchable, icount_order
@@ -68,8 +61,6 @@ class Core:
         workload_name: str = "",
         event_driven: bool = True,
         strict_slices: bool = False,
-        fused_blocks: bool | None = None,
-        hot_threshold: int = HOT_THRESHOLD,
         snapshot=None,
         memory_normalized: bool = False,
     ):
@@ -78,9 +69,9 @@ class Core:
         #: layer stays independent of the harness). The run starts at
         #: the snapshot's architectural state — PC, registers, memory —
         #: with its warmed cache/predictor images installed below. The
-        #: program's compiled fused segments stay valid across restores:
-        #: a segment folds in only instruction operands and reads all
-        #: machine state through ``core``/``ctx`` at call time.
+        #: program's compiled instruction closures stay valid across
+        #: restores: a closure folds in only its instruction's operands
+        #: and reads all machine state through its ``state`` argument.
         self.snapshot = snapshot
         self.program = program
         self.config = config
@@ -110,20 +101,6 @@ class Core:
         #: thread blows its instruction fuse instead of silently
         #: containing it.
         self.strict_slices = strict_slices
-        #: Fused basic-block execution tier (:mod:`repro.uarch.fusion`):
-        #: fetch groups inside a basic block execute as one generated
-        #: call. ``False`` keeps the per-instruction tier everywhere
-        #: (the ``--no-fuse`` escape hatch); both produce identical
-        #: stats up to :data:`~repro.uarch.stats.SIMULATOR_META_FIELDS`.
-        #: ``None`` defers to :func:`~repro.uarch.fusion.fusion_default`
-        #: (the ``REPRO_NO_FUSE`` environment switch).
-        if fused_blocks is None:
-            fused_blocks = fusion_default()
-        self.fused_blocks = fused_blocks
-        #: Fetch-group entries at a PC before its segment is installed.
-        #: The differential fuzzer lowers it so the fused tier runs even
-        #: on programs too short to heat a PC the default 8 times.
-        self.hot_threshold = hot_threshold
 
         if snapshot is not None:
             # Snapshot images are Memory.snapshot() output: already
@@ -221,31 +198,6 @@ class Core:
         #: fork squash must reach the correlator even if the helper
         #: thread already finished and released its context.
         self._forked: deque[tuple[int, int]] = deque()  # (fork_vn, instance)
-
-        #: Fused-tier state: compiled segments keyed by entry PC, the
-        #: set of PCs worth compiling (block leaders, later extended
-        #: with resume points of partial groups), fetch-group entries
-        #: per PC not yet hot enough to install, and the program block
-        #: version the compiles are valid for. The containers are
-        #: mutated in place — ``_fetch`` holds local references.
-        self._fused: dict[int, object] = {}
-        self._fusable_pcs: set[int] = set()
-        self._segment_heat: dict[int, int] = {}
-        self._fuse_version = program.block_version
-        if self._slices_enabled:
-            cam_pcs = frozenset(
-                set(self._kill_pc_map)
-                | set(self._fork_pc_map)
-                | self._value_load_pcs
-            )
-        else:
-            cam_pcs = frozenset()
-        #: Program-wide segment-cache key: two Cores over the same
-        #: Program share compiled segments iff their fetch width,
-        #: front-end depth, and CAM exclusions agree.
-        self._fuse_key = (config.width, config.frontend_stages, cam_pcs)
-        if fused_blocks:
-            self._fusable_pcs.update(program.basic_blocks().keys())
 
     # ==================================================================
     # Top-level loop
@@ -813,8 +765,6 @@ class Core:
         window_limit = self.config.window_entries
         fetch_one = self._fetch_one
         fetched = False
-        fused = self._fused if self.fused_blocks else None
-        fusable = self._fusable_pcs
         # With dedicated slice resources (the Section 6.3 ablation),
         # helper threads draw on their own fetch budget instead of
         # stealing main-thread slots.
@@ -840,21 +790,6 @@ class Core:
                         break
                 elif slice_budget <= 0:
                     break
-                if fused is not None and ctx.is_main:
-                    # Fused tier: a whole fetch group inside a basic
-                    # block costs one generated call. Mid-block PCs not
-                    # known as leaders or resume points fall through to
-                    # the instruction tier (wrong-path safety).
-                    pc = ctx.state.pc
-                    fn = fused.get(pc)
-                    if fn is None and pc in fusable:
-                        fn = self._compile_fused(pc)
-                    if fn is not None:
-                        room = window_limit - self._window_count
-                        n = fn(self, ctx, budget if budget < room else room)
-                        fetched = True
-                        budget -= n
-                        continue
                 if not fetch_one(ctx):
                     break
                 fetched = True
@@ -865,117 +800,6 @@ class Core:
             if budget <= 0 and slice_budget is None:
                 break
         return fetched
-
-    def _compile_fused(self, pc: int):
-        """Compile the fetch segment entered at *pc*, or rule it out.
-
-        Invalidation mirrors the ``Instruction.__copy__`` cache-drop
-        contract at block granularity: if the program's
-        ``block_version`` moved (a pass renamed/cloned instructions in
-        place and called :meth:`Program.drop_block_caches`), every
-        compiled segment and the fusable-entry set are rebuilt before
-        anything stale can execute.
-        """
-        program = self.program
-        if program.block_version != self._fuse_version:
-            self._fused.clear()
-            self._fusable_pcs.clear()
-            self._segment_heat.clear()
-            self._fusable_pcs.update(program.basic_blocks().keys())
-            self._fuse_version = program.block_version
-            if pc not in self._fusable_pcs:
-                return None
-        # Hot-threshold: codegen costs ~2 ms a segment; a cold or
-        # wrong-path-only entry PC never earns that back. Warm up
-        # through the instruction tier first. Heat is per Core and
-        # gates cache hits too, so which segments a Core installs (and
-        # ``blocks_compiled``) depends only on its own execution, never
-        # on what ran earlier over the same Program in-process.
-        heat = self._segment_heat
-        n = heat.get(pc, 0) + 1
-        if n < self.hot_threshold:
-            heat[pc] = n
-            return None
-        heat.pop(pc, None)
-        # Same-process Cores over the same Program (and the same
-        # width / front-end depth / CAM exclusions) share generated
-        # segments, so a hit saves only the codegen;
-        # ``drop_block_caches`` clears this cache.
-        cache = program._segment_cache
-        key = (pc, self._fuse_key)
-        cached = cache.get(key)
-        if cached is None:
-            insts = self._fusable_run_from(pc)
-            if len(insts) < MIN_FUSE_LEN:
-                # Too short to out-run the instruction tier. If the
-                # walk stopped on a CAM exclusion (the instruction
-                # there is present and fusable by opcode), the block
-                # resumes — and may fuse — right after it.
-                stop_pc = pc + len(insts) * INSTRUCTION_BYTES
-                inst = self._main.prog_by_pc.get(stop_pc)
-                resume = (
-                    stop_pc + INSTRUCTION_BYTES
-                    if inst is not None and inst.op in FUSABLE_OPS
-                    else 0
-                )
-                cached = cache[key] = (None, resume)
-            else:
-                fn = compile_segment(
-                    insts, self._main.thread_id, self.config.frontend_stages
-                )
-                cached = cache[key] = (fn, len(insts))
-        fn, n_insts = cached
-        if fn is None:
-            # Cached rule-out: n_insts carries the post-exclusion
-            # resume PC (0 when there is none).
-            self._fusable_pcs.discard(pc)
-            if n_insts:
-                self._fusable_pcs.add(n_insts)
-            return None
-        self._fused[pc] = fn
-        self.stats.blocks_compiled += 1
-        # Every internal offset is a legitimate resume point after a
-        # budget- or window-limited partial group; the PC one past the
-        # segment is the natural continuation when the block is wider
-        # than the fetch width. Register them all as fusable entries
-        # (compiled lazily, and only if actually reached).
-        step = INSTRUCTION_BYTES
-        fusable = self._fusable_pcs
-        for k in range(1, n_insts + 1):
-            resume = pc + k * step
-            if resume not in self._fused:
-                fusable.add(resume)
-        return fn
-
-    def _fusable_run_from(self, pc: int) -> list:
-        """Consecutive fusable instructions from *pc*, up to one fetch
-        group wide.
-
-        Stops at control transfers / ``HALT`` / ``FORK`` (block
-        terminators) and at any PC the slice hardware CAMs at fetch
-        (kill map, fork map, value-PGI loads) — those must reach
-        :meth:`_fetch_one` individually. All three maps are static
-        after ``__init__``, so compile-time exclusion is sound.
-        """
-        by_pc = self._main.prog_by_pc
-        width = self.config.width
-        if self._slices_enabled:
-            kill = self._kill_pc_map
-            fork = self._fork_pc_map
-            vload = self._value_load_pcs
-        else:
-            kill = fork = vload = ()
-        insts = []
-        step = INSTRUCTION_BYTES
-        while len(insts) < width:
-            inst = by_pc.get(pc)
-            if inst is None or inst.op not in FUSABLE_OPS:
-                break
-            if pc in kill or pc in fork or pc in vload:
-                break
-            insts.append(inst)
-            pc += step
-        return insts
 
     def _fetch_one(self, ctx: ThreadContext) -> bool:
         if not ctx.is_main and ctx.fuse_blown(

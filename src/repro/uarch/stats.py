@@ -18,14 +18,12 @@ from repro.slices.correlator import CorrelatorStats
 
 #: Fields describing how the simulation ran rather than what the
 #: simulated machine did. Differential tests (event-driven skipping vs
-#: cycle stepping, fused-block vs per-instruction execution) compare
-#: every field *except* these.
+#: cycle stepping, sampled vs full detail) compare every field *except*
+#: these.
 SIMULATOR_META_FIELDS = frozenset(
     {
         "cycles_skipped",
         "skip_events",
-        "blocks_compiled",
-        "block_deopts",
         "ff_insts",
         "snapshot_hit",
         "sample_regions",
@@ -156,13 +154,6 @@ class RunStats:
     #: ``False`` runs (see :data:`SIMULATOR_META_FIELDS`).
     cycles_skipped: int = 0
     skip_events: int = 0
-    #: Fused-tier mechanics (:mod:`repro.uarch.fusion`): segments
-    #: compiled by the block code generator, and fused groups that
-    #: ended early at a faulting instruction (the rest of the group is
-    #: refetched by the instruction tier). Simulator meta, like the
-    #: skip counters above.
-    blocks_compiled: int = 0
-    block_deopts: int = 0
     #: Sampled-simulation provenance (:mod:`repro.harness.fastforward`):
     #: instructions executed on the functional fast-forward tier before
     #: the detailed region, and whether the warmed snapshot came from

@@ -9,13 +9,12 @@ every instruction pays a dict lookup, a closure call, an
 ``ExecResult`` allocation, and (for memory ops) a ``warm_access``
 call even on an L1 MRU hit.
 
-This module is the warming analogue of the detailed core's fused
-segment tier (:mod:`repro.uarch.fusion`), pushed one step further
-into *trace* compilation: one ``exec``-generated function per trace —
-a likely dynamic path that crosses statically-targeted branches
-(conditional branches continue on their likely direction, so hot
-loops unroll into the function; only register-indirect control flow
-ends discovery) — that performs, per instruction, exactly the
+This module compiles *traces* instead: one ``exec``-generated
+function per trace — a likely dynamic path that crosses
+statically-targeted branches (conditional branches continue on their
+likely direction, so hot loops unroll into the function; only
+register-indirect control flow ends discovery) — that performs, per
+instruction, exactly the
 architectural effects of the interpreter closures plus the warm
 demand access (the :func:`repro.uarch.prefetch.build_warm_access`
 closure the driver hands in) and the direct branch-predictor
@@ -165,10 +164,10 @@ class WarmContext:
 def warm_block_table(program, line_shift: int, set_mask: int) -> dict:
     """The program's compiled-warm-run cache for one L1 geometry.
 
-    Keyed by ``block_version`` (instruction mutation invalidates, same
-    contract as the fused segment cache) and the geometry literals the
-    generated code bakes in. One geometry is cached at a time —
-    sweeps share a single warm config by design
+    Keyed by ``block_version`` (instruction mutation invalidates: see
+    :meth:`~repro.isa.program.Program.drop_block_caches`) and the
+    geometry literals the generated code bakes in. One geometry is
+    cached at a time — sweeps share a single warm config by design
     (:func:`repro.harness.fastforward.warm_config_key`).
     """
     key = (program.block_version, line_shift, set_mask)

@@ -7,10 +7,10 @@ dataflow scheduling, and slice/correlator hooks.
 
 The functional outcome is stored as scalar slots (``rvalue`` /
 ``raddr`` / ``rstore`` / ``rtaken`` / ``rnext_pc`` / ``rfault``) rather
-than a nested :class:`~repro.arch.interpreter.ExecResult`: the fused
-block tier (:mod:`repro.uarch.fusion`) passes observables straight into
-``__init__`` as scalars, so the hot path performs no per-instruction
-``ExecResult`` allocation at all. The :attr:`result` property
+than a nested :class:`~repro.arch.interpreter.ExecResult`: fetch copies
+the observables out of the closure's result, so the issue, completion
+and commit paths read each one with a single slot load and the
+``ExecResult`` dies at fetch. The :attr:`result` property
 materializes an ``ExecResult`` view on demand for debugging and cold
 consumers (the trace-driven slice builder).
 """

@@ -1,6 +1,5 @@
 """Tests for the functional executor."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch import Fault, Memory, ThreadState, execute, run_functional

@@ -19,7 +19,7 @@ def _stored_case(cache_root, seed=3):
         seed=seed,
         scale=0.25,
         tier_a="interp",
-        tier_b="event-fused",
+        tier_b="event",
         kind="stream",
         detail="synthetic fixture",
     )
@@ -63,7 +63,7 @@ def test_ls_lists_stored_cases(cache_root, capsys):
     assert main(["fuzz", "ls"]) == 0
     out = capsys.readouterr().out
     assert "0x3" in out
-    assert "stream:interp/event-fused" in out
+    assert "stream:interp/event" in out
 
 
 @pytest.mark.parametrize(

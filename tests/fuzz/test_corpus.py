@@ -14,7 +14,7 @@ def divergence():
         seed=3,
         scale=0.25,
         tier_a="interp",
-        tier_b="event-fused",
+        tier_b="event",
         kind="stream",
         detail="synthetic fixture",
     )
@@ -57,7 +57,7 @@ def test_list_and_clear(tmp_path, divergence):
     )
     (summary,) = corpus.list_cases(tmp_path)
     assert summary["seed"] == 3
-    assert summary["klass"] == "stream:interp/event-fused"
+    assert summary["klass"] == "stream:interp/event"
     assert summary["original_size"] == 500
     assert summary["size"] <= 500
     fuzz = FuzzNamespace(tmp_path)

@@ -2,23 +2,11 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.fuzz.diff import check_seed
-from repro.uarch import fusion
 
-#: The injected-bug fixture: the fused tier stops journaling the word a
-#: store overwrites, so wrong-path stores survive rollback. The classic
-#: "tier that is fast and wrong" — exactly what the fuzzer exists for.
-_BROKEN_ST_JOURNAL = "    pass"
-
-#: Canonical seeds (scale 0.25) known to expose the fused-journal bug.
+#: Canonical seeds (scale 0.25) known to expose the store-journal bug
+#: (the ``broken_store_journal`` fixture).
 BUGGY_SEEDS = (6, 12)
-
-
-@pytest.fixture
-def broken_fused_store(monkeypatch):
-    monkeypatch.setattr(fusion, "_ST_JOURNAL_SRC", _BROKEN_ST_JOURNAL)
 
 
 def test_clean_seeds_agree_across_all_tiers():
@@ -27,21 +15,20 @@ def test_clean_seeds_agree_across_all_tiers():
         assert divergence is None, str(divergence)
 
 
-def test_injected_fused_store_bug_is_detected(broken_fused_store):
-    """ISSUE acceptance: an intentionally-introduced tier bug (the
-    fused tier skips the store journal) is caught by the cross-check
-    and classified against the fused tiers."""
+def test_injected_store_journal_bug_is_detected(broken_store_journal):
+    """An intentionally-introduced tier bug (stores skip the rollback
+    journal) is caught by the cross-check and classified against the
+    first detailed tier."""
     found = [
         (seed, check_seed(seed, scale=0.25)) for seed in BUGGY_SEEDS
     ]
     for seed, divergence in found:
         assert divergence is not None, f"seed {seed} missed the bug"
         assert divergence.seed == seed
-        assert "fused" in divergence.tier_b
-        assert divergence.klass == f"{divergence.kind}:interp/{divergence.tier_b}"
+        assert divergence.klass == "stream:interp/step"
 
 
-def test_divergence_is_deterministic(broken_fused_store):
+def test_divergence_is_deterministic(broken_store_journal):
     a = check_seed(BUGGY_SEEDS[0], scale=0.25)
     b = check_seed(BUGGY_SEEDS[0], scale=0.25)
     assert a == b

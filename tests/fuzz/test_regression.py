@@ -7,9 +7,13 @@ this test means one of the execution tiers regressed into a previously
 observed bug.
 
 ``0x6.repro.json``: seed 6, shrunk from 236 to 26 units. Found by
-fuzzing an intentionally broken fused tier whose store path skipped the
-rollback journal (wrong-path stores survived recovery and leaked into
-architectural state through a later load). Pinned with the bug absent.
+fuzzing an intentionally broken store path that skipped the rollback
+journal (wrong-path stores survived recovery and leaked into
+architectural state through a later load). Its recorded divergence
+names the fused fetch tier the bug was injected into then; that tier is
+retired, and the same bug injected into ``Memory.store`` makes the case
+diverge on the first remaining detailed tier, at the same load.
+Pinned with the bug absent.
 """
 
 from pathlib import Path
@@ -17,9 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import corpus
-from repro.uarch import fusion
-
-from tests.fuzz.test_diff import _BROKEN_ST_JOURNAL
 
 CASES = sorted((Path(__file__).parent / "corpus").glob("*.repro.json"))
 
@@ -36,11 +37,13 @@ def test_promoted_case_replays_clean(path):
     )
 
 
-def test_seed6_case_still_detects_its_bug(monkeypatch):
-    """The fixture keeps its teeth: reintroducing the fused-store
-    journal bug makes the same case diverge again."""
-    monkeypatch.setattr(fusion, "_ST_JOURNAL_SRC", _BROKEN_ST_JOURNAL)
+def test_seed6_case_still_detects_its_bug(request):
+    """The fixture keeps its teeth: the case agrees across every tier
+    as the tree stands, and reintroducing the store-journal bug makes it
+    diverge again, on the detailed tiers."""
     path = Path(__file__).parent / "corpus" / "0x6.repro.json"
+    assert corpus.replay(path) is None
+    request.getfixturevalue("broken_store_journal")
     divergence = corpus.replay(path)
     assert divergence is not None
-    assert "fused" in divergence.tier_b
+    assert divergence.klass == "stream:interp/step"

@@ -1,17 +1,7 @@
 """Shrinker soundness: output still diverges, never grows, no-op when clean."""
 
-import pytest
-
 from repro.fuzz.gen import generate
 from repro.fuzz.shrink import shrink, workload_size
-from repro.uarch import fusion
-
-from tests.fuzz.test_diff import _BROKEN_ST_JOURNAL
-
-
-@pytest.fixture
-def broken_fused_store(monkeypatch):
-    monkeypatch.setattr(fusion, "_ST_JOURNAL_SRC", _BROKEN_ST_JOURNAL)
 
 
 def test_shrink_of_clean_workload_is_noop():
@@ -23,9 +13,9 @@ def test_shrink_of_clean_workload_is_noop():
     assert result.checks == 1
 
 
-def test_shrink_keeps_divergence_and_never_grows(broken_fused_store, tmp_path):
-    """ISSUE acceptance: the injected fused-store bug is shrunk to a
-    smaller repro that still diverges."""
+def test_shrink_keeps_divergence_and_never_grows(broken_store_journal, tmp_path):
+    """The injected store-journal bug is shrunk to a smaller repro that
+    still diverges."""
     workload = generate(12, 0.25)
     original = workload_size(workload)
     result = shrink(workload, max_checks=60)

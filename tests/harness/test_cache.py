@@ -189,7 +189,7 @@ def test_key_scheme_is_pinned():
     from repro.uarch.config import FOUR_WIDE
 
     source = "0" * 64
-    fixed = dict(event_driven=True, fused_blocks=True)
+    fixed = dict(event_driven=True)
     single = RunRequest(
         workload="vpr", scale=0.05, mode="slice", fast_forward=0,
         sample=0, sample_regions=0, sample_period=0, **fixed,

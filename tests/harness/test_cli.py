@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.harness.cache import RunCache
 from repro.harness.cli import EXPERIMENTS, build_parser, main, run_experiment
 from repro.harness.faults import FaultKind, FaultPlan
 from repro.harness.parallel import RunRequest, run_matrix
+from repro.uarch.stats import RunStats
 
 
 def test_parser_accepts_all_experiments():
@@ -23,6 +25,31 @@ def test_parser_accepts_all_experiments():
 def test_parser_rejects_unknown():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["table99"])
+
+
+def test_every_bench_regime_in_help_is_dispatched(monkeypatch, capsys):
+    """Each regime ``repro --help`` names runs (its measurement stubbed
+    out) instead of exiting 2 as unknown, and the list is exactly the
+    bench module's Core regimes plus the two functional tiers."""
+    from repro.harness import bench
+
+    text = " ".join(build_parser().format_help().split())
+    listed = re.search(r"bench regime: (.*?) \(with 'bench'", text).group(1)
+    names = re.findall(r"'(\w+)'", listed)
+    assert names == list(cli.BENCH_REGIMES)
+    assert set(names) == {*bench.REGIMES, "interpreter", "warming"}
+
+    stats = RunStats(committed=1)
+    monkeypatch.setattr(bench, "best_rate", lambda regime, rounds: (1.0, stats))
+    monkeypatch.setattr(
+        bench, "measure_interpreter_rate", lambda rounds: (1.0, 1)
+    )
+    monkeypatch.setattr(bench, "measure_warming_rate", lambda rounds: (1.0, 1))
+    for name in names:
+        assert main(["bench", name]) == 0, name
+        assert capsys.readouterr().out.startswith(f"{name}: ")
+    assert main(["bench", "nonesuch"]) == 2
+    assert "unknown bench regime 'nonesuch'" in capsys.readouterr().err
 
 
 def test_run_table1_renders():
@@ -134,7 +161,6 @@ _FLAG_VALUES = {
     "retries": ("2", "2"),
     "on_error": ("skip", "skip"),
     "no_skip": (None, "1"),
-    "no_fuse": (None, "1"),
     "fast_forward": ("9", "9"),
     "sample": ("4", "4"),
     "sample_regions": ("6", "6"),

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.harness import cli
+from repro.harness import cli, parallel
 from repro.harness.cache import RunCache
 from repro.harness.fastforward import (
     DETAIL_WARMUP_CAP,
@@ -39,7 +39,6 @@ from repro.uarch.stats import (
     RunStats,
     aggregate_stats,
     mean_ci95,
-    stats_digest,
     t95,
 )
 from repro.workloads import registry
@@ -79,8 +78,8 @@ def _ff_zero_arms(workload):
 def test_ff_zero_bit_identical(workload_name):
     """An unsampled RunRequest reproduces a direct simulate() call
     exactly — every stat, every mode, every workload."""
-    # One workload for all modes: segment heat is per Core, so a
-    # shared Program's warm segment cache must not move the counters.
+    # One workload for all modes: a shared Program's cached
+    # instruction closures must not move the counters.
     workload = registry.build(workload_name, scale=0.05)
     arms = _ff_zero_arms(workload)
     assert tuple(mode for mode, _fields, _kwargs in arms) == MODES
@@ -245,32 +244,47 @@ def test_restore_then_run_matches_straight_through():
 
 
 @pytest.mark.parametrize("mode", ["base", "slice"])
-def test_restore_into_warm_program_matches_fresh_program(mode):
-    """Fused segments compiled by a cold-image Core stay in the
-    Program's cache across a snapshot restore, and reusing them changes
-    nothing: the restored run equals a restore into a freshly built
-    Program in every field, meta included, and the per-instruction
-    tier in every architectural one."""
-    warm = registry.build("gzip", scale=0.05)
-    simulate(warm, mode, FOUR_WIDE)
-    compiled_cold = set(warm.program._segment_cache)
-    assert compiled_cold
+def test_restore_into_warm_program_matches_fresh_program(mode, monkeypatch):
+    """A process builds a workload once and keeps its Program, compiled
+    instruction closures included, across a snapshot restore; reusing
+    it changes nothing: the restored run equals a restore into a
+    freshly built Program in every field, meta included."""
+    builds = []
+    build = registry.build
 
-    snap = fast_forward(warm, FOUR_WIDE, 500)
-    sampled = dict(snapshot=snap, warmup=200, region=1_000)
-    reused = simulate(warm, mode, FOUR_WIDE, **sampled)
-    fresh = registry.build("gzip", scale=0.05)
-    restored = simulate(fresh, mode, FOUR_WIDE, **sampled)
-    assert dataclasses.asdict(reused) == dataclasses.asdict(restored)
-    assert reused.blocks_compiled > 0
-    # The restored run installed segments the cold run had compiled.
-    assert compiled_cold & set(fresh.program._segment_cache)
+    def counting_build(name, scale):
+        builds.append((name, scale))
+        return build(name, scale=scale)
 
-    unfused = simulate(
-        registry.build("gzip", scale=0.05), mode, FOUR_WIDE,
-        fused_blocks=False, **sampled,
+    monkeypatch.setattr(registry, "build", counting_build)
+    monkeypatch.setattr(parallel, "_last_workload", None)
+    store = SnapshotStore(enabled=False)
+    full = RunRequest(
+        workload="gzip", scale=0.05, mode=mode, fast_forward=0, sample=0
     )
-    assert stats_digest(reused) == stats_digest(unfused)
+    execute_request(full, snapshots=store)
+    warm = parallel._last_workload[1]
+    closures = {
+        inst.pc: inst._exec
+        for inst in warm.program.instructions
+        if inst._exec is not None
+    }
+    assert closures
+
+    sampled = dataclasses.replace(full, fast_forward=500, sample=1_000)
+    reused = execute_request(sampled, snapshots=store)
+    assert builds == [("gzip", 0.05)]
+    assert parallel._last_workload[1] is warm
+    # The restored run ran the cold run's closures, not new ones.
+    assert all(
+        warm.program.at(pc)._exec is fn for pc, fn in closures.items()
+    )
+
+    monkeypatch.setattr(parallel, "_last_workload", None)
+    restored = execute_request(sampled, snapshots=store)
+    assert builds == [("gzip", 0.05)] * 2
+    assert parallel._last_workload[1] is not warm
+    assert dataclasses.asdict(reused) == dataclasses.asdict(restored)
 
 
 def test_region_smaller_than_warmup_still_warms():

@@ -1,11 +1,12 @@
 """A request's result must not depend on what its process ran before.
 
 :func:`~repro.harness.parallel.execute_request` keeps the last built
-workload, and a Program keeps its compiled fused segments across Cores
-and snapshot restores. Both are reuse of deterministic work only: a
-window request run in a process that has already run other modes and
-workloads returns exactly what a fresh pool worker returns, every
-field included, and the reused workload comes out unchanged.
+workload, and its Program keeps its compiled instruction closures
+across Cores and snapshot restores. Both are reuse of deterministic
+work only: a window request run in a process that has already run
+other modes and workloads returns exactly what a fresh pool worker
+returns, every field included, and the reused workload comes out
+unchanged.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ def test_window_result_is_independent_of_process_history(
     tmp_path, monkeypatch
 ):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(parallel, "_last_workload", None)
     parent = RunRequest(
         workload="mcf", scale=0.2, mode="base",
         sample=300, sample_regions=4, sample_period=1_000,
@@ -40,20 +42,30 @@ def test_window_result_is_independent_of_process_history(
         window.fast_forward,
     )
 
+    builds = []
+    build = registry.build
+
+    def counting_build(name, scale):
+        builds.append((name, scale))
+        return build(name, scale=scale)
+
+    monkeypatch.setattr(registry, "build", counting_build)
     first = execute_request(window)
     workload = parallel._last_workload[1]
     image = _image_digest(workload.memory_image)
-    # Same workload, same fuse key, another depth: warms the Program's
-    # segment cache with segments the window also enters.
+    # Same workload, another depth and another mode: four snapshot
+    # restores into one build, which runs the closures compiled so far.
     execute_request(window_schedule(parent)[1].request)
     execute_request(dataclasses.replace(window, mode="slice"))
     second = execute_request(window)
     assert parallel._last_workload[1] is workload  # reused, not rebuilt
+    assert builds == [("mcf", 0.2)]
     execute_request(RunRequest(workload="gzip", scale=0.05, mode="limit"))
     execute_request(dataclasses.replace(window, mode="limit"))
     third = execute_request(window)
+    # Only a change of (name, scale) rebuilds.
+    assert builds == [("mcf", 0.2), ("gzip", 0.05), ("mcf", 0.2)]
 
-    assert first.blocks_compiled > 0
     assert first.snapshot_hit
     expected = dataclasses.asdict(first)
     assert dataclasses.asdict(second) == expected

@@ -1,7 +1,10 @@
 """Tests for instruction classification and operand parsing."""
 
+import copy
+
 import pytest
 
+from repro.arch import Memory, ThreadState, execute
 from repro.isa import Assembler, Opcode, parse_reg
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass, base_latency, op_class
@@ -70,3 +73,17 @@ def test_load_writes_dest_store_does_not():
     st = Instruction(Opcode.ST, rd=1, ra=2, imm=0)
     assert ld.writes_dest
     assert not st.writes_dest
+
+
+def test_copy_drops_compiled_executor():
+    """``copy.copy`` keeps operands but drops the compiled-executor
+    cache: the slice optimizer renames registers on copies before they
+    ever execute."""
+    inst = Instruction(Opcode.ADD, rd=1, ra=1, imm=1, pc=0x1000)
+    execute(inst, ThreadState(Memory(), entry_pc=0x1000))
+    assert inst._exec is not None
+    clone = copy.copy(inst)
+    assert (clone.op, clone.rd, clone.ra, clone.imm, clone.pc) == (
+        inst.op, inst.rd, inst.ra, inst.imm, inst.pc
+    )
+    assert clone._exec is None

@@ -24,7 +24,7 @@ def divergence():
         seed=3,
         scale=0.25,
         tier_a="interp",
-        tier_b="event-fused",
+        tier_b="event",
         kind="stream",
         detail="synthetic fixture",
     )

@@ -1,40 +1,64 @@
-"""Tests for the fused basic-block execution tier.
+"""Tests for the fused functional-warming tier (:mod:`repro.uarch.warmfuse`).
 
 The fused tier is an optimization, not a model change: on every
-registered workload — slices on and off — it must produce the same
-``RunStats`` as the per-instruction tier, bar its own meta counters.
-The adversarial cases cover the ways a fused segment can be entered or
-left unexpectedly: wrong-path entry in the middle of a block (stale
-indirect-predictor targets), a faulting load inside a compiled segment
-(deopt mid-group), and an optimizer pass cloning instructions out from
-under compiled closures (the ``drop_block_caches`` contract).
+registered workload — slices on and off — a sampled run warmed through
+compiled traces must produce the same ``RunStats`` as one warmed by the
+per-instruction tier (``fastforward._warm_steps``). The adversarial
+cases cover the ways a compiled trace can be entered or left
+unexpectedly: an indirect jump into the middle of a block (a trace
+starting mid-body), a null-page load inside a compiled trace, and an
+optimizer pass cloning instructions out from under compiled traces
+(the ``drop_block_caches`` contract).
 """
 
-import copy
 import dataclasses
 
 import pytest
 
-from repro.harness.cache import fingerprint
+from repro.arch.interpreter import run_functional
+from repro.arch.memory import Memory
+from repro.arch.state import ThreadState
+from repro.harness import fastforward as ff
+from repro.harness import parallel
+from repro.harness.fastforward import SnapshotStore, fast_forward, snapshot_digest
 from repro.harness.parallel import RunRequest, execute_request
 from repro.isa import Assembler
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
 from repro.uarch import Core, FOUR_WIDE
-from repro.uarch.fusion import FUSABLE_OPS, fusion_default
-from repro.uarch.stats import SIMULATOR_META_FIELDS, RunStats
+from repro.uarch.warmfuse import compile_warm_run, warm_block_table
 from repro.workloads import registry
+from repro.workloads.base import Workload
 from repro.workloads.registry import SLICE_BENCHMARKS
 
 
-def assert_stats_identical(
-    a: RunStats, b: RunStats, ignore: frozenset = SIMULATOR_META_FIELDS
-) -> None:
-    for field in dataclasses.fields(RunStats):
-        if field.name in ignore:
-            continue
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        assert va == vb, f"RunStats.{field.name} differs: {va!r} != {vb!r}"
+def _stepped_loop(program, state, budget, warm_access, predictor, _hierarchy):
+    """``_warm_loop`` with every instruction on the per-instruction tier."""
+    return ff._warm_steps(program, state, budget, warm_access, predictor)
+
+
+def _warm_both_ways(monkeypatch, workload, depth):
+    """``(fused, stepped)`` snapshots of *workload* warmed to *depth*."""
+    fused = fast_forward(workload, FOUR_WIDE, depth)
+    with monkeypatch.context() as patch:
+        patch.setattr(ff, "_warm_loop", _stepped_loop)
+        stepped = fast_forward(workload, FOUR_WIDE, depth)
+    return fused, stepped
+
+
+def _traces(program) -> dict:
+    """The program's compiled warm traces, keyed by entry PC."""
+    cache = getattr(program, "_warm_block_cache", None)
+    return cache[1] if cache is not None else {}
+
+
+def _functional_regs(program, steps):
+    state = ThreadState(
+        Memory(journaling=False), entry_pc=program.entry_pc, journaling=False
+    )
+    for _ in run_functional(program, state, steps):
+        pass
+    return list(state.regs.values())
 
 
 # ----------------------------------------------------------------------
@@ -47,27 +71,39 @@ _CASES = [(name, "base") for name in registry.all_names()] + [
 
 
 @pytest.mark.parametrize("workload,mode", _CASES)
-def test_fused_matches_instruction_tier(workload, mode):
-    fused = execute_request(
-        RunRequest(workload=workload, scale=0.05, mode=mode, fused_blocks=True)
+def test_fused_matches_instruction_tier(workload, mode, monkeypatch):
+    request = RunRequest(
+        workload=workload, scale=0.05, mode=mode,
+        fast_forward=2_000, sample=500, sample_regions=0,
     )
-    unfused = execute_request(
-        RunRequest(workload=workload, scale=0.05, mode=mode, fused_blocks=False)
-    )
-    assert_stats_identical(fused, unfused)
-    assert unfused.blocks_compiled == 0 and unfused.block_deopts == 0
+    store = SnapshotStore(enabled=False)
+    monkeypatch.setattr(parallel, "_last_workload", None)
+    fused = execute_request(request, snapshots=store)
+    built = parallel._last_workload[1]
+    assert _traces(built.program)  # traces ran
+    # The warm images themselves, not only the window they feed.
+    warm_fused, warm_stepped = _warm_both_ways(monkeypatch, built, 2_000)
+    assert snapshot_digest(warm_fused) == snapshot_digest(warm_stepped)
+
+    monkeypatch.setattr(parallel, "_last_workload", None)
+    monkeypatch.setattr(ff, "_warm_loop", _stepped_loop)
+    stepped = execute_request(request, snapshots=store)
+    assert not _traces(parallel._last_workload[1].program)
+    assert fused.ff_insts > 0
+    assert dataclasses.asdict(fused) == dataclasses.asdict(stepped)
 
 
 # ----------------------------------------------------------------------
-# Adversarial: mid-block wrong-path entry
+# Adversarial: a trace entered mid-block
 # ----------------------------------------------------------------------
 
 
 def _indirect_alternator(leader_pc=0, mid_pc=0):
     """A loop whose ``jr`` alternates between a block leader and a PC
-    four instructions *inside* that block. The indirect predictor keeps
+    four instructions *inside* that block. Warming compiles a second
+    trace at the mid-block PC; in detail, the indirect predictor keeps
     serving the stale target, so wrong-path fetch regularly enters the
-    block mid-body — never at a compiled segment's entry."""
+    block mid-body."""
     asm = Assembler()
     asm.li("r1", 0)  # accumulator
     asm.li("r7", 400)  # trip count
@@ -93,32 +129,38 @@ def _indirect_alternator(leader_pc=0, mid_pc=0):
     return asm.build()
 
 
-def test_mid_block_wrong_path_entry_is_identical():
+def test_mid_block_wrong_path_entry_is_identical(monkeypatch):
     probe = _indirect_alternator()
     leader = probe.labels["leader"]
     mid = leader + 4 * INSTRUCTION_BYTES
     assert probe.at(mid) is not None and not probe.at(mid).is_branch
 
-    fused_prog = _indirect_alternator(leader, mid)
-    unfused_prog = _indirect_alternator(leader, mid)
-    fused = Core(fused_prog, FOUR_WIDE, fused_blocks=True).run()
-    unfused = Core(unfused_prog, FOUR_WIDE, fused_blocks=False).run()
-    assert_stats_identical(fused, unfused)
-    assert fused.blocks_compiled > 0
+    program = _indirect_alternator(leader, mid)
+    workload = Workload(
+        name="alternator", program=program, memory_image={}, region=6_000
+    )
+    fused, stepped = _warm_both_ways(monkeypatch, workload, 5_000)
+    assert snapshot_digest(fused) == snapshot_digest(stepped)
+    assert {leader, mid} <= set(_traces(program))
+
+    core = Core(program, FOUR_WIDE)
+    stats = core.run()
     # The alternating target defeats the indirect predictor, so fetch
-    # really does run wrong paths into the block body.
-    assert fused.branch_mispredictions > 50
+    # really does run wrong paths into the block body — and recovers.
+    assert stats.branch_mispredictions > 50
+    assert core._main.state.regs.values() == _functional_regs(program, 10_000)
 
 
 # ----------------------------------------------------------------------
-# Adversarial: faulting load inside a compiled segment
+# Adversarial: faulting load inside a compiled trace
 # ----------------------------------------------------------------------
 
 
 def _faulting_loop():
-    """A hot loop whose body block contains a null-page load: the
-    segment compiles (the block is straight-line) but every execution
-    faults mid-group and must deopt to the instruction tier."""
+    """A hot loop whose body contains a null-page load: the trace
+    compiles (the loop unrolls into it) and every iteration takes the
+    inline null-page path instead of falling back to the per-instruction
+    tier."""
     asm = Assembler()
     asm.li("r1", 0x20)  # inside the null page
     asm.li("r2", 0)
@@ -134,13 +176,19 @@ def _faulting_loop():
     return asm.build()
 
 
-def test_faulting_block_deopts_and_stays_identical():
-    fused = Core(_faulting_loop(), FOUR_WIDE, fused_blocks=True).run()
-    unfused = Core(_faulting_loop(), FOUR_WIDE, fused_blocks=False).run()
-    assert_stats_identical(fused, unfused)
-    assert fused.blocks_compiled > 0
-    # Once hot, every iteration enters the segment and faults out of it.
-    assert fused.block_deopts > 20
+def test_faulting_block_deopts_and_stays_identical(monkeypatch):
+    program = _faulting_loop()
+    workload = Workload(
+        name="faulting", program=program, memory_image={}, region=1_000
+    )
+    fused, stepped = _warm_both_ways(monkeypatch, workload, 1_000)
+    assert snapshot_digest(fused) == snapshot_digest(stepped)
+    assert program.entry_pc in _traces(program)
+    assert fused.regs[2] == 180 and fused.regs[3] == 0
+
+    core = Core(program, FOUR_WIDE)
+    core.run()
+    assert core._main.state.regs.values() == _functional_regs(program, 1_000)
 
 
 # ----------------------------------------------------------------------
@@ -162,92 +210,48 @@ def _hot_loop(body=6, trips=60):
 
 
 def test_optimizer_clone_invalidates_compiled_segments():
-    """A pass that clones/renames instructions in place must be able to
-    rely on ``drop_block_caches`` alone: after the call, no stale fused
-    closure may execute, and fused results must track the *new*
-    semantics bit-for-bit."""
-    prog = _hot_loop()
-    original = Core(prog, FOUR_WIDE, fused_blocks=True).run()
-    assert original.blocks_compiled > 0
-
-    # Clone one body instruction and change its opcode to MUL (latency
-    # 7 vs 1) — the timing change is visible in RunStats.cycles, so a
-    # stale closure would be caught, not silently tolerated.
-    victim_index = next(
-        i
-        for i, inst in enumerate(prog.instructions)
-        if inst.op is Opcode.ADD and inst.rd == 1
+    """A pass that clones an instruction in place must be able to rely
+    on ``drop_block_caches`` alone: afterwards the warming tier's
+    compiled traces (keyed on ``block_version``) and the detailed
+    core's instruction closures (a clone carries none) both track the
+    *new* semantics, exactly as the functional oracle does."""
+    program = _hot_loop()
+    workload = Workload(
+        name="hot-loop", program=program, memory_image={}, region=400
     )
-    old = prog.instructions[victim_index]
-    clone = Instruction(
-        op=Opcode.MUL, rd=old.rd, ra=old.ra, imm=1, pc=old.pc
-    )
-    assert clone.op in FUSABLE_OPS
-    prog.instructions[victim_index] = clone
-    prog._by_pc[old.pc] = clone
-    prog.drop_block_caches()
+    depth = 200
+    before = fast_forward(workload, FOUR_WIDE, depth)
 
-    fused = Core(prog, FOUR_WIDE, fused_blocks=True).run()
-    unfused = Core(prog, FOUR_WIDE, fused_blocks=False).run()
-    assert_stats_identical(fused, unfused)
-    assert fused.cycles != original.cycles  # the mutation is observable
-    assert fused.blocks_compiled > 0  # recompiled, not stale
+    index = next(
+        i for i, inst in enumerate(program.instructions)
+        if inst.op is Opcode.ADD
+    )
+    old = program.instructions[index]
+    clone = Instruction(op=Opcode.ADD, rd=old.rd, ra=old.ra, imm=3, pc=old.pc)
+    program.instructions[index] = clone
+    program._by_pc[old.pc] = clone
+    program.drop_block_caches()
+
+    after = fast_forward(workload, FOUR_WIDE, depth)
+    assert after.regs != before.regs  # the mutation is observable
+    assert list(after.regs) == _functional_regs(program, depth)
+
+    core = Core(program, FOUR_WIDE)
+    core.run()
+    assert core._main.state.regs.values()[1] == 60 * (5 + 3)
 
 
 def test_block_version_bump_rebuilds_core_state():
-    """An existing Core notices the version bump on its next compile
-    probe and drops everything it had compiled."""
-    prog = _hot_loop()
-    core = Core(prog, FOUR_WIDE, fused_blocks=True)
-    core.run()
-    assert core._fused
-    version_before = core._fuse_version
-    prog.drop_block_caches()
-    assert not prog._segment_cache
-    core._compile_fused(prog.entry_pc)
-    assert core._fuse_version == prog.block_version > version_before
-    assert not core._fused  # stale segments gone; entry not hot yet
-    assert core._segment_heat == {prog.entry_pc: 1}  # heat restarted
+    """A ``block_version`` bump hands the warming tier a fresh, empty
+    trace table; the stale one is never consulted again."""
+    program = _hot_loop()
+    table = warm_block_table(program, 6, 63)
+    table[program.entry_pc] = compile_warm_run(program, program.entry_pc, 6, 63)
+    assert warm_block_table(program, 6, 63) is table
+    version_before = program.block_version
 
-
-def test_clone_via_copy_preserves_fusability():
-    """``copy.copy`` keeps operands but drops the compiled-executor
-    cache — the per-instruction contract the block tier mirrors."""
-    prog = _hot_loop()
-    inst = prog.instructions[2]
-    clone = copy.copy(inst)
-    assert clone.op is inst.op and clone._exec is None
-
-
-# ----------------------------------------------------------------------
-# Escape hatches
-# ----------------------------------------------------------------------
-
-
-def test_core_flag_disables_fusion():
-    stats = Core(_hot_loop(), FOUR_WIDE, fused_blocks=False).run()
-    assert stats.blocks_compiled == 0 and stats.block_deopts == 0
-
-
-def test_env_flag_disables_fusion(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    assert fusion_default() is False
-    stats = Core(_hot_loop(), FOUR_WIDE).run()
-    assert stats.blocks_compiled == 0
-    # "0" and "" leave the tier on, like an unset variable.
-    for value in ("0", ""):
-        monkeypatch.setenv("REPRO_NO_FUSE", value)
-        assert fusion_default() is True
-        assert RunRequest(workload="vpr", scale=0.05).fused_blocks is True
-    monkeypatch.delenv("REPRO_NO_FUSE")
-    assert fusion_default() is True
-
-
-def test_run_request_fingerprints_fusion_mode():
-    """Cached runs must not be shared across fusion modes — the meta
-    counters (blocks_compiled / block_deopts) differ."""
-    on = RunRequest(workload="vpr", scale=0.05, mode="slice", fused_blocks=True)
-    off = RunRequest(
-        workload="vpr", scale=0.05, mode="slice", fused_blocks=False
-    )
-    assert fingerprint(on, "x") != fingerprint(off, "x")
+    program.drop_block_caches()
+    fresh = warm_block_table(program, 6, 63)
+    assert program.block_version > version_before
+    assert fresh is not table and not fresh
+    assert program._warm_block_cache[0] == (program.block_version, 6, 63)
