@@ -6,7 +6,8 @@ Two measurements of :mod:`repro.harness.fastforward`:
   :mod:`repro.harness.bench` (base mcf, 20k-instruction warmed
   functional fast-forward, 4k-instruction measured region). Rate counts
   every instruction the run covered (prefix + discard window + region)
-  against detailed wall time only — the amortized case a sweep sees,
+  against the wall time of one ``execute_request`` over a prebuilt
+  snapshot (restore + detailed run) — the amortized case a sweep sees,
   since all points share one snapshot. Merged into
   ``BENCH_throughput.json`` under ``sampled`` with a CI floor.
 * **sweep speedup** — the headline claim: a memory-latency sweep on mcf
@@ -49,18 +50,15 @@ from repro.harness.bench import REGIMES, best_rate
 from repro.harness.fastforward import (
     SnapshotStore,
     detail_warmup,
-    ensure_snapshot,
-    iter_chain,
     list_snapshots,
 )
 from repro.harness.parallel import (
     RunRequest,
-    _apply_override,
-    assemble_windows,
+    execute_request,
+    shared_workload,
 )
 from repro.harness.runner import simulate
 from repro.uarch.config import FOUR_WIDE
-from repro.workloads import registry
 
 #: Floor for the sampled regime (covered simulated instructions / wall
 #: second). Measures ~160-180k locally (vs ~50-100k for the detailed
@@ -104,15 +102,16 @@ WINDOW_SPEEDUP_MIN_CPUS = 4
 
 def bench_sampled_throughput(publish):
     regime = REGIMES["sampled"]
+    request = regime.request
     rate, stats = best_rate(regime, rounds=3)
-    warmup = detail_warmup(regime.sample)
+    warmup = detail_warmup(request.sample)
 
     publish(
         "sampled_throughput",
         "Sampled-simulation throughput "
-        f"(base {regime.workload}, scale {regime.scale}, "
-        f"{regime.fast_forward:,}-inst warmed fast-forward, "
-        f"{regime.sample:,}-inst region)\n\n"
+        f"(base {request.workload}, scale {request.scale}, "
+        f"{request.fast_forward:,}-inst warmed fast-forward, "
+        f"{request.sample:,}-inst region)\n\n"
         f"~{rate:,.0f} covered instructions/second "
         f"({stats.ff_insts:,} fast-forwarded + {warmup:,} discard + "
         f"{stats.committed:,} measured, best of 3 runs)",
@@ -120,11 +119,11 @@ def bench_sampled_throughput(publish):
     _merge_results(
         "sampled",
         {
-            "workload": regime.workload,
-            "mode": regime.mode,
-            "scale": regime.scale,
-            "fast_forward": regime.fast_forward,
-            "sample": regime.sample,
+            "workload": request.workload,
+            "mode": request.mode,
+            "scale": request.scale,
+            "fast_forward": request.fast_forward,
+            "sample": request.sample,
             "detail_warmup": warmup,
             "instructions_per_second": round(rate),
             "ff_insts": stats.ff_insts,
@@ -133,8 +132,8 @@ def bench_sampled_throughput(publish):
             "floor_instructions_per_second": SAMPLED_FLOOR,
         },
     )
-    assert stats.ff_insts == regime.fast_forward
-    assert stats.committed == regime.sample
+    assert stats.ff_insts == request.fast_forward
+    assert stats.committed == request.sample
     assert rate > SAMPLED_FLOOR
 
 
@@ -142,12 +141,18 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     """Memory-latency sweep, sampled vs. full detail: >= 3x faster,
     per-point region IPC within 2%."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    workload = registry.build("mcf", scale=0.5)
+    workload = shared_workload("mcf", 0.5)
     fast_forward, sample = 20_000, 4_000
-    region, warmup = sample, detail_warmup(sample)
+    warmup = detail_warmup(sample)
     latencies = (50, 100, 200, 400)
-    configs = [
-        _apply_override(FOUR_WIDE, "memory_latency", value)
+    requests = [
+        RunRequest(
+            "mcf", 0.5, "base",
+            overrides=(("memory_latency", value),),
+            event_driven=True,
+            fast_forward=fast_forward, sample=sample,
+            sample_regions=0, sample_period=0,
+        )
         for value in latencies
     ]
 
@@ -156,16 +161,9 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     # points since memory_latency does not shape warmed state.
     store = SnapshotStore(tmp_path / "cache")
     sampled_start = time.perf_counter()
-    sampled_ipc = []
-    for config in configs:
-        snapshot, _ = ensure_snapshot(
-            workload, config, fast_forward, store=store
-        )
-        stats = simulate(
-            workload, "base", config,
-            snapshot=snapshot, warmup=warmup, region=region,
-        )
-        sampled_ipc.append(stats.ipc)
+    sampled_ipc = [
+        execute_request(request, snapshots=store).ipc for request in requests
+    ]
     sampled_s = time.perf_counter() - sampled_start
     snapshots_on_disk = len(list_snapshots(store))
 
@@ -173,9 +171,9 @@ def bench_sampled_sweep_speedup(publish, tmp_path, monkeypatch):
     # the detailed core (warming every structure along the way).
     full_start = time.perf_counter()
     full_ipc = []
-    for config in configs:
+    for request in requests:
         stats = simulate(
-            workload, "base", config,
+            workload, "base", request.resolve_config(),
             warmup=fast_forward + warmup, region=sample,
         )
         full_ipc.append(stats.ipc)
@@ -229,32 +227,34 @@ def bench_sampled_multi_throughput(publish):
     """The ``sampled_multi`` regime: covered instructions per second
     for a fresh (unamortized) multi-region run, chain build included."""
     regime = REGIMES["sampled_multi"]
+    request = regime.request
     rate, stats = best_rate(regime, rounds=3)
-    warmup = detail_warmup(regime.sample)
+    warmup = detail_warmup(request.sample)
+    span = regime.fast_forwarded(stats)
 
     publish(
         "sampled_multi_throughput",
         "Multi-region sampled throughput "
-        f"(base {regime.workload}, scale {regime.scale}, "
-        f"{stats.sample_regions} x {regime.sample:,}-inst windows, "
-        f"period {regime.sample_period:,}, chain build timed)\n\n"
+        f"(base {request.workload}, scale {request.scale}, "
+        f"{stats.sample_regions} x {request.sample:,}-inst windows, "
+        f"period {request.sample_period:,}, chain build timed)\n\n"
         f"~{rate:,.0f} covered instructions/second "
-        f"({stats.ff_insts:,} chain span + "
+        f"({span:,} chain span + "
         f"{stats.sample_regions * warmup:,} discard + "
         f"{stats.committed:,} measured, best of 3 runs)",
     )
     _merge_results(
         "sampled_multi",
         {
-            "workload": regime.workload,
-            "mode": regime.mode,
-            "scale": regime.scale,
-            "sample": regime.sample,
-            "sample_regions": regime.sample_regions,
-            "sample_period": regime.sample_period,
+            "workload": request.workload,
+            "mode": request.mode,
+            "scale": request.scale,
+            "sample": request.sample,
+            "sample_regions": request.sample_regions,
+            "sample_period": request.sample_period,
             "detail_warmup": warmup,
             "instructions_per_second": round(rate),
-            "chain_span_insts": stats.ff_insts,
+            "chain_span_insts": span,
             "committed_per_run": stats.committed,
             "ipc_mean": round(stats.ipc_mean, 4),
             "ipc_ci95": round(stats.ipc_ci95, 4),
@@ -262,8 +262,8 @@ def bench_sampled_multi_throughput(publish):
             "floor_instructions_per_second": MULTI_FLOOR,
         },
     )
-    assert stats.sample_regions == regime.sample_regions
-    assert stats.committed == regime.sample_regions * regime.sample
+    assert stats.sample_regions == request.sample_regions
+    assert stats.committed == request.sample_regions * request.sample
     assert rate > MULTI_FLOOR
 
 
@@ -282,33 +282,19 @@ def bench_sampled_multi_differential(publish, tmp_path, monkeypatch):
     instruction; a truncated comparator would flatter the speedup.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    workload = registry.build("mcf", scale=181)
+    workload = shared_workload("mcf", 181)
     sample, regions, period = 2_000, 10, 1_000_000
-    plan = RunRequest(
-        "mcf", 181, fast_forward=0, sample=sample,
-        sample_regions=regions, sample_period=period,
-    ).schedule()
+    request = RunRequest(
+        "mcf", 181, "base", event_driven=True, fast_forward=0,
+        sample=sample, sample_regions=regions, sample_period=period,
+    )
 
     # Sampled side: the chained fast-forward is built fresh, in memory
     # (the one-shot cost model, same as the sampled_multi regime —
     # persisting ten multi-megaword snapshots is the amortized case a
     # sweep pays once, benched separately above).
-    chain = iter_chain(
-        workload, FOUR_WIDE, plan.depths, store=SnapshotStore(enabled=False)
-    )
-
-    def measure(depth):
-        snapshot, _hit = next(chain)
-        stats = simulate(
-            workload,
-            snapshot=snapshot, warmup=plan.warmup, region=plan.region,
-        )
-        if snapshot is not None:
-            stats.ff_insts = snapshot.executed
-        return stats
-
     sampled_start = time.perf_counter()
-    sampled = assemble_windows(plan.depths, measure)
+    sampled = execute_request(request, snapshots=SnapshotStore(enabled=False))
     sampled_s = time.perf_counter() - sampled_start
 
     from repro.uarch.core import Core
@@ -368,15 +354,16 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
     with the chain prebuilt and the windows fanned over the pool."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     regime = REGIMES["sampled_parallel"]
+    request = regime.request
     rate, stats = best_rate(regime, rounds=3)
-    warmup = detail_warmup(regime.sample)
+    warmup = detail_warmup(request.sample)
 
     publish(
         "sampled_parallel_throughput",
         "Window-parallel sampled throughput "
-        f"(base {regime.workload}, scale {regime.scale}, "
-        f"{stats.sample_regions} x {regime.sample:,}-inst windows, "
-        f"period {regime.sample_period:,}, {regime.window_jobs} pool "
+        f"(base {request.workload}, scale {request.scale}, "
+        f"{stats.sample_regions} x {request.sample:,}-inst windows, "
+        f"period {request.sample_period:,}, {regime.window_jobs} pool "
         "workers, prebuilt chain)\n\n"
         f"~{rate:,.0f} covered instructions/second against the whole "
         "run_matrix wall clock (best of 3 runs)",
@@ -384,12 +371,12 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
     _merge_results(
         "sampled_parallel",
         {
-            "workload": regime.workload,
-            "mode": regime.mode,
-            "scale": regime.scale,
-            "sample": regime.sample,
-            "sample_regions": regime.sample_regions,
-            "sample_period": regime.sample_period,
+            "workload": request.workload,
+            "mode": request.mode,
+            "scale": request.scale,
+            "sample": request.sample,
+            "sample_regions": request.sample_regions,
+            "sample_period": request.sample_period,
             "window_jobs": regime.window_jobs,
             "detail_warmup": warmup,
             "instructions_per_second": round(rate),
@@ -400,8 +387,8 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
             "floor_instructions_per_second": PARALLEL_FLOOR,
         },
     )
-    assert stats.sample_regions == regime.sample_regions
-    assert stats.committed == regime.sample_regions * regime.sample
+    assert stats.sample_regions == request.sample_regions
+    assert stats.committed == request.sample_regions * request.sample
     assert rate > PARALLEL_FLOOR
 
 

@@ -25,14 +25,21 @@ the JSON so they can run (or be re-run) independently; the top-level
 changes performance materially) is preserved by every merge.
 """
 
+import dataclasses
+import functools
 import json
 import time
 
 from conftest import RESULTS_DIR
 
-from repro.harness.bench import REGIMES, best_rate, run_regime
+from repro.harness.bench import REGIMES, best_rate, host, run_regime
 from repro.harness.cache import RunCache
-from repro.harness.parallel import RunRequest, run_matrix
+from repro.harness.parallel import (
+    RunRequest,
+    execute_request,
+    run_matrix,
+    shared_workload,
+)
 
 #: Conservative regression floors (simulated instructions / wall
 #: second) committed with the JSON; CI fails a PR whose fresh rates
@@ -50,10 +57,11 @@ SLICE_HEAVY_FLOOR = 30_000
 def _merge_results(section: str | None, payload: dict) -> None:
     """Merge *payload* into ``BENCH_throughput.json`` (under *section*,
     or at top level when ``None``), preserving the other benches' data
-    and the per-PR ``history`` list."""
+    and the per-PR ``history`` list. The payload records its host."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_throughput.json"
     data = json.loads(path.read_text()) if path.exists() else {}
+    payload = {**payload, **host()}
     if section is None:
         data.update(payload)
     else:
@@ -64,14 +72,14 @@ def _merge_results(section: str | None, payload: dict) -> None:
 def _interleaved_best(regime, rounds, variants):
     """Best-of-*rounds* wall time per variant, interleaved so transient
     machine load cannot bias one variant. *variants* maps a label to
-    Core-kwarg overrides; all variants share one workload so compiled
-    instruction closures stay cached across rounds. Returns
-    ``{label: (best_seconds, stats)}``."""
-    workload = regime.build_workload()
+    the request that variant of *regime* runs; variants of one workload
+    share its build, so compiled instruction closures stay cached
+    across rounds. Returns ``{label: (best_seconds, stats)}``."""
     best: dict[str, tuple[float, object]] = {}
     for _ in range(rounds):
-        for label, overrides in variants.items():
-            stats, elapsed = run_regime(regime, workload=workload, **overrides)
+        for label, request in variants.items():
+            variant = dataclasses.replace(regime, request=request)
+            stats, elapsed = run_regime(variant)
             if label not in best or elapsed < best[label][0]:
                 best[label] = (elapsed, stats)
     return best
@@ -79,10 +87,10 @@ def _interleaved_best(regime, rounds, variants):
 
 def bench_simulator_throughput(benchmark, publish, tmp_path):
     regime = REGIMES["balanced"]
-    workload = regime.build_workload()
-
-    def simulate():
-        return regime.build_core(workload=workload).run()
+    request = regime.request
+    # Built untimed: execute_request reuses this process's last build.
+    shared_workload(request.workload, request.scale)
+    simulate = functools.partial(execute_request, request)
 
     stats = benchmark(simulate)
     if benchmark.stats is not None:
@@ -133,6 +141,8 @@ def bench_simulator_throughput(benchmark, publish, tmp_path):
 def bench_simulator_throughput_memory_bound(publish):
     """Skip-vs-step on the far-memory regime (event-driven loop's target)."""
     regime = REGIMES["memory_bound"]
+    request = regime.request
+    config = request.resolve_config()
     # Interleave the two modes and keep each mode's best round:
     # machine noise only ever slows a round down, so best-of-N
     # converges on the true cost and the interleaving keeps transient
@@ -141,7 +151,10 @@ def bench_simulator_throughput_memory_bound(publish):
     modes = _interleaved_best(
         regime,
         rounds=rounds,
-        variants={"skip": {}, "step": {"event_driven": False}},
+        variants={
+            "skip": regime.request,
+            "step": dataclasses.replace(regime.request, event_driven=False),
+        },
     )
     best_skip, skip_stats = modes["skip"]
     best_step, _ = modes["step"]
@@ -153,9 +166,9 @@ def bench_simulator_throughput_memory_bound(publish):
     publish(
         "simulator_throughput_memory_bound",
         "Simulator throughput, memory-bound regime "
-        f"(base mcf, scale {regime.scale}, "
-        f"{regime.config.memory_latency}-cycle misses, "
-        f"{regime.config.window_entries}-entry window)\n\n"
+        f"(base mcf, scale {request.scale}, "
+        f"{config.memory_latency}-cycle misses, "
+        f"{config.window_entries}-entry window)\n\n"
         f"event-driven: ~{skip_rate:,.0f} inst/s; "
         f"stepping: ~{step_rate:,.0f} inst/s; "
         f"speedup {speedup:.2f}x\n"
@@ -165,11 +178,11 @@ def bench_simulator_throughput_memory_bound(publish):
     _merge_results(
         "memory_bound",
         {
-            "workload": regime.workload,
-            "mode": regime.mode,
-            "scale": regime.scale,
-            "memory_latency": regime.config.memory_latency,
-            "window_entries": regime.config.window_entries,
+            "workload": request.workload,
+            "mode": request.mode,
+            "scale": request.scale,
+            "memory_latency": config.memory_latency,
+            "window_entries": config.window_entries,
             "instructions_per_second": round(skip_rate),
             "stepping_instructions_per_second": round(step_rate),
             "speedup_vs_stepping": round(speedup, 2),
@@ -189,14 +202,15 @@ def bench_simulator_throughput_memory_bound(publish):
 def bench_simulator_throughput_slice_heavy(publish):
     """Fork/correlator churn: vpr's slices on an 8-context machine."""
     regime = REGIMES["slice_heavy"]
+    request = regime.request
     rounds = 5
     rate, stats = best_rate(regime, rounds=rounds)
 
     publish(
         "simulator_throughput_slice_heavy",
         "Simulator throughput, slice-heavy regime "
-        f"(slice-assisted vpr, scale {regime.scale}, "
-        f"{regime.config.thread_contexts} thread contexts)\n\n"
+        f"(slice-assisted vpr, scale {request.scale}, "
+        f"{request.resolve_config().thread_contexts} thread contexts)\n\n"
         f"~{rate:,.0f} inst/s\n"
         f"{stats.slice_fetched:,} slice instructions fetched alongside "
         f"{stats.main_fetched:,} main",
@@ -204,10 +218,10 @@ def bench_simulator_throughput_slice_heavy(publish):
     _merge_results(
         "slice_heavy",
         {
-            "workload": regime.workload,
-            "mode": regime.mode,
-            "scale": regime.scale,
-            "thread_contexts": regime.config.thread_contexts,
+            "workload": request.workload,
+            "mode": request.mode,
+            "scale": request.scale,
+            "thread_contexts": request.resolve_config().thread_contexts,
             "instructions_per_second": round(rate),
             "committed_per_run": stats.committed,
             "slice_fetched": stats.slice_fetched,

@@ -391,7 +391,8 @@ def run_bench(
         print(f"\nfull profile: {out_path}")
         return 0
     rate, stats = best_rate(regime, rounds=3)
-    sampled = f", {stats.ff_insts} fast-forwarded" if stats.ff_insts else ""
+    span = regime.fast_forwarded(stats)
+    sampled = f", {span} fast-forwarded" if span else ""
     print(
         f"{name}: {regime.description}\n"
         f"~{rate:,.0f} simulated instructions/second "

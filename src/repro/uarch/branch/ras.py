@@ -34,7 +34,3 @@ class ReturnAddressStack:
 
     def restore(self, checkpoint: int) -> None:
         self._top = checkpoint
-
-    @property
-    def depth(self) -> int:
-        return self._top

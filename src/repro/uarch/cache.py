@@ -152,9 +152,6 @@ class PrefetchVictimBuffer:
             del self._lines[oldest]
         self._lines[line] = from_prefetch
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
 
 @dataclass(slots=True)
 class AccessResult:

@@ -10,15 +10,12 @@ The functional outcome is stored as scalar slots (``rvalue`` /
 than a nested :class:`~repro.arch.interpreter.ExecResult`: fetch copies
 the observables out of the closure's result, so the issue, completion
 and commit paths read each one with a single slot load and the
-``ExecResult`` dies at fetch. The :attr:`result` property
-materializes an ``ExecResult`` view on demand for debugging and cold
-consumers (the trace-driven slice builder).
+``ExecResult`` dies at fetch.
 """
 
 from __future__ import annotations
 
 from repro.arch.exceptions import Fault
-from repro.arch.interpreter import ExecResult
 from repro.arch.state import Checkpoint
 from repro.isa.instruction import Instruction
 from repro.uarch.branch.frontend_predictor import BranchPrediction
@@ -103,18 +100,6 @@ class WindowEntry:
         #: was bound to this load at fetch, and whether it was right.
         self.value_predicted = False
         self.value_correct = False
-
-    @property
-    def result(self) -> ExecResult:
-        """ExecResult view of the observable slots (debug / cold paths)."""
-        return ExecResult(
-            value=self.rvalue,
-            addr=self.raddr,
-            store_value=self.rstore,
-            taken=self.rtaken,
-            next_pc=self.rnext_pc,
-            fault=self.rfault,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(

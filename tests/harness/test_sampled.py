@@ -776,9 +776,13 @@ def test_matrix_report_sampling_counters(cache_env):
 def test_bench_sampled_multi_regime(cache_env):
     from repro.harness.bench import REGIMES, run_regime
 
+    regime = REGIMES["sampled_multi"]
     regime = dataclasses.replace(
-        REGIMES["sampled_multi"],
-        scale=0.5, sample=300, sample_regions=3, sample_period=2_000,
+        regime,
+        request=dataclasses.replace(
+            regime.request,
+            scale=0.5, sample=300, sample_regions=3, sample_period=2_000,
+        ),
     )
     stats, elapsed = run_regime(regime)
     assert stats.sample_regions == 3
