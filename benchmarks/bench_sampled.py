@@ -33,11 +33,12 @@ Two measurements of :mod:`repro.harness.fastforward`:
   ``BENCH_throughput.json`` with a CI floor.
 * **window-parallel speedup** — the PR 10 acceptance bar: a 10-window
   mcf run over a prebuilt chain must be >= 2x faster wall-clock at 8
-  pool workers than the serial ``--jobs 1`` oracle, with a
-  bit-identical aggregate RunStats digest (asserted unconditionally;
-  the speedup floor is asserted where the host can physically deliver
-  it, i.e. >= 4 CPUs — CI runners qualify, a 1-vCPU sandbox records
-  the ratio without failing on physics).
+  pool workers than the serial walk (``execute_request`` over the
+  whole request, the oracle), with a bit-identical aggregate RunStats
+  digest (asserted unconditionally; the speedup floor is asserted
+  where the host can physically deliver it, i.e. >= 4 CPUs — CI
+  runners qualify, a 1-vCPU sandbox records the ratio without failing
+  on physics).
 """
 
 import dataclasses
@@ -395,15 +396,17 @@ def bench_sampled_parallel_throughput(publish, tmp_path, monkeypatch):
 def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
     """The PR 10 acceptance differential: a 10-window mcf run over a
     prebuilt snapshot chain, window-parallel at 8 workers vs the
-    serial ``--jobs 1`` oracle.
+    serial walk, ``execute_request`` over the whole request (the
+    oracle).
 
-    Both sides run through ``run_matrix`` with the run cache disabled
-    (fresh detailed measurement either way; only the scheduling
-    differs) over the same prebuilt chain, so the wall-clock ratio
-    isolates exactly what the two-level scheduler buys. The aggregate
-    RunStats must be bit-identical — the digest assertion holds on any
-    host; the >= 2x floor is asserted on hosts with enough CPUs to
-    make a parallel speedup physically possible (CI qualifies).
+    The parallel side runs through ``run_matrix`` with the run cache
+    disabled (fresh detailed measurement either way; only the
+    scheduling differs) over the same prebuilt chain, so the
+    wall-clock ratio isolates what the two-level scheduler buys. The
+    aggregate RunStats must be bit-identical — the digest assertion
+    holds on any host; the >= 2x floor is asserted on hosts with
+    enough CPUs to make a parallel speedup physically possible (CI
+    qualifies).
     """
     from repro.harness.cache import RunCache
     from repro.harness.fastforward import prebuild_snapshots
@@ -428,7 +431,7 @@ def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
     prebuild_snapshots([request], jobs=8)
 
     serial_start = time.perf_counter()
-    serial = run_matrix([request], jobs=1, cache=RunCache(enabled=False))[0]
+    serial = execute_request(request)
     serial_s = time.perf_counter() - serial_start
 
     parallel_start = time.perf_counter()
@@ -442,7 +445,7 @@ def bench_window_parallel_speedup(publish, tmp_path, monkeypatch):
         "window_parallel_speedup",
         f"Window-parallel speedup (mcf, scale 8.0, {regions} x "
         f"{sample:,}-inst windows, period {period:,}, prebuilt chain)\n\n"
-        f"serial (--jobs 1): {serial_s:.2f}s\n"
+        f"serial (one walk): {serial_s:.2f}s\n"
         f"window-parallel (8 workers): {parallel_s:.2f}s\n"
         f"speedup {speedup:.2f}x on {cpus} CPU(s) "
         f"(floor {WINDOW_SPEEDUP_FLOOR}x "

@@ -11,10 +11,8 @@ training, victim-buffer traffic).
 
 The rate merges into ``BENCH_throughput.json`` under ``warming`` with
 a CI floor, next to the interpreter tier it replaced in the warm loop.
-``speedup_vs_pr6`` records the measured gain over the previous PR's
-per-block warming loop (interleaved same-host measurement at the time
-this bench landed — the flat-array hierarchy, O(1) stream matching,
-and trace-compiled warm tier together; see DESIGN.md).
+The warm tier's measured gain over the loop it replaced is an
+interleaved A/B recorded in DESIGN.md §3, not re-derived here.
 """
 
 from bench_simulator_throughput import _merge_results
@@ -33,12 +31,6 @@ from repro.harness.bench import (
 #: per-block warming loop this PR replaced.
 WARMING_FLOOR = 350_000
 
-#: The previous PR's warming rate on this regime, measured interleaved
-#: with the new loop on the same host when this bench landed. Kept for
-#: the honest speedup bookkeeping in BENCH_throughput.json; not a
-#: floor (it is not re-measured in CI).
-PR6_WARMING_RATE = 635_000
-
 
 def bench_warming_throughput(publish):
     # Measurement shared with `repro bench warming` / `--all`
@@ -55,9 +47,7 @@ def bench_warming_throughput(publish):
         f"{insts:,} instructions warmed per round; "
         f"~{best_rate:,.0f} warmed instructions/second through the "
         "fused warm tier (trace-compiled bodies + flat-array "
-        "hierarchy + O(1) stream matching); "
-        f"{best_rate / PR6_WARMING_RATE:.2f}x the per-block warming "
-        "loop it replaced",
+        "hierarchy + O(1) stream matching)",
     )
     _merge_results(
         "warming",
@@ -67,8 +57,6 @@ def bench_warming_throughput(publish):
             "mode": "warming",
             "insts_per_round": insts,
             "instructions_per_second": round(best_rate),
-            "pr6_instructions_per_second": PR6_WARMING_RATE,
-            "speedup_vs_pr6": round(best_rate / PR6_WARMING_RATE, 2),
             "best_of_rounds": 3,
             "floor_instructions_per_second": WARMING_FLOOR,
         },

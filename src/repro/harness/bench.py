@@ -39,8 +39,8 @@ stay outside the timing.
   (unamortized) cost of a sampled run.
 * **sampled_parallel** — the same 8-window mcf schedule, but run the
   way a sweep runs it: chain prebuilt into the snapshot store
-  (untimed, amortized), then one ``run_matrix`` call exploding the
-  windows into per-window work units fanned over 8 pool workers
+  (untimed, amortized), then one ``run_matrix`` call splitting it
+  into its window requests, fanned over 8 pool workers
   (:mod:`repro.harness.parallel`). End-to-end wall-clock of the whole
   matrix call — the window-parallel regime.
 
@@ -116,7 +116,6 @@ class BenchRegime:
 #: pinned so the ambient environment cannot change what a regime
 #: measures.
 _PINNED = dict(
-    event_driven=True,
     fast_forward=0,
     sample=0,
     sample_regions=0,

@@ -116,17 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     for setting in settings.SETTINGS:
         if setting.flag is None:
             continue
-        if setting.parse is settings.boolean:
-            parser.add_argument(
-                setting.flag, dest=setting.name, action="store_true",
-                help=setting.help,
-            )
-        else:
-            parser.add_argument(
-                setting.flag, dest=setting.name, type=setting.parse,
-                default=None, metavar=setting.metavar,
-                choices=setting.choices, help=setting.help,
-            )
+        parser.add_argument(
+            setting.flag, dest=setting.name, type=setting.parse,
+            default=None, metavar=setting.metavar,
+            choices=setting.choices, help=setting.help,
+        )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -692,8 +686,8 @@ def main(argv: list[str] | None = None) -> int:
             # it (experiments, sweeps, pool and service workers) as its
             # REPRO_* variable: no call site threads a knob explicitly.
             value = getattr(args, setting.name, None)
-            if value is not None and value is not False:
-                os.environ[setting.env] = "1" if value is True else str(value)
+            if value is not None:
+                os.environ[setting.env] = str(value)
             # Parse every knob once, here, so a malformed value exits
             # with one line naming it, not a traceback from a run.
             settings.get(setting.name)

@@ -8,13 +8,16 @@ This module gives the harness one entry point for all of them:
 * :func:`execute_request` — materialize and run one request (also the
   process-pool worker).
 * :func:`run_matrix` — map requests to :class:`RunStats`, in input
-  order, deduplicating identical requests, consulting the
+  order, splitting each multi-region request into its window requests,
+  deduplicating identical requests and windows, consulting the
   :class:`~repro.harness.cache.RunCache`, and fanning fresh runs out
   over a process pool (``--jobs`` / ``REPRO_JOBS`` / ``os.cpu_count()``).
 
 The simulator is deterministic, so parallel and cached execution return
 bit-identical stats to sequential fresh runs (asserted by
-``tests/harness/test_determinism.py`` and ``tests/harness/test_cache.py``).
+``tests/harness/test_determinism.py`` and ``tests/harness/test_cache.py``),
+and the worker count changes only speed: the same requests and windows
+run, and reach the same cache entries, at every ``jobs``.
 
 **Failure model.** A large matrix must survive partial failure: one
 OOM-killed worker or one wedged simulation must not discard hours of
@@ -128,9 +131,8 @@ class RunRequest:
     #: Event-driven cycle skipping in the core loop. Stats are
     #: identical either way (bar the skip counters), but the modes are
     #: fingerprinted separately so cached skip counters stay honest.
-    event_driven: bool = field(
-        default_factory=lambda: not settings.get("no_skip")
-    )
+    #: ``False`` is the stepping scheduler, the timing oracle.
+    event_driven: bool = True
     #: Sampled simulation (:mod:`repro.harness.fastforward`): execute
     #: this many instructions on the functional fast-forward tier (with
     #: functional warming), restoring the detailed core from the warmed
@@ -293,8 +295,8 @@ def assemble_windows(depths, measure) -> RunStats | None:
 
 
 #: The most recently built workload in this process, as
-#: ``((name, scale), workload)``. Window units arrive name-major, so one
-#: entry catches nearly every rebuild; keeping more raises peak RSS.
+#: ``((name, scale), workload)``. Window requests arrive name-major, so
+#: one entry catches nearly every rebuild; keeping more raises peak RSS.
 #: A run never mutates its workload (``Memory`` copies the image).
 _last_workload: tuple | None = None
 
@@ -370,59 +372,31 @@ def window_request(request: RunRequest, depth: int) -> RunRequest:
     A window at chain depth *d* is exactly the single-window sampled
     run ``fast_forward=d, sample=request.sample``: same snapshot-store
     key, same warmup/region pair, same dispatch — so executing the
-    derived request is bit-identical to the serial loop's iteration at
-    that depth (the oracle the differential tests assert against).
+    derived request is bit-identical to :func:`execute_request`'s walk
+    at that depth (the oracle the differential tests assert against).
     """
     return dataclasses.replace(
         request, fast_forward=depth, sample_regions=0, sample_period=0
     )
 
 
-@dataclass(frozen=True)
-class _WindowUnit:
-    """One per-window work unit of an exploded multi-region request.
-
-    A first-class sibling of ordinary matrix entries in the pool:
-    hashable, picklable, fault-targetable (``request_key`` works on any
-    dataclass), and deduplicated by its content-addressed *key* so two
-    parents with overlapping schedules share each common window.
-    """
-
-    request: RunRequest  # the derived single-window request
-    key: str  # window_fingerprint — the windows-namespace cache key
-    depth: int
-
-    @property
-    def workload(self) -> str:  # log-line protocol of _execute
-        return self.request.workload
-
-    @property
-    def mode(self) -> str:
-        return f"{self.request.mode}@{self.depth}"
-
-
-def window_schedule(request: RunRequest) -> list[_WindowUnit]:
-    """Explode a multi-region *request* into its per-window work units,
-    in depth order, each carrying its windows-namespace cache key."""
-    from repro.harness.cache import window_fingerprint
-
+def window_schedule(request: RunRequest) -> list[RunRequest]:
+    """The single-window requests a multi-region *request* decomposes
+    into, in depth order (:func:`window_request` at each scheduled
+    depth). Window *w*'s ``windows``-namespace key is
+    ``window_fingerprint(w, w.fast_forward)``."""
     return [
-        _WindowUnit(
-            request=window_request(request, depth),
-            key=window_fingerprint(request, depth),
-            depth=depth,
-        )
-        for depth in request.schedule().depths
+        window_request(request, depth) for depth in request.schedule().depths
     ]
 
 
 def _assemble_outcome(
     request: RunRequest,
-    units,
-    window_cached,
-    unit_outcomes,
+    windows: list[RunRequest],
+    window_outcomes: dict[RunRequest, "RequestOutcome"],
 ) -> "RequestOutcome":
-    """Reassemble one exploded request from its windows' outcomes with
+    """Reassemble one decomposed request from its windows' outcomes
+    (``"cached"`` from the ``windows`` namespace, else executed) with
     :func:`assemble_windows`; a window that failed (skipped after
     exhausting retries) fails the whole request unless an earlier short
     chain member already dropped it.
@@ -430,7 +404,7 @@ def _assemble_outcome(
     Every looked-up window's attempts and latency are charged; only
     kept windows count as ``window_hits``.
     """
-    by_depth = {unit.depth: unit for unit in units}
+    by_depth = {window.fast_forward: window for window in windows}
     attempts = 0
     latency = 0.0
     cached: list[bool] = []
@@ -438,23 +412,13 @@ def _assemble_outcome(
 
     def measure(depth: int) -> RunStats | None:
         nonlocal attempts, latency, missing
-        unit = by_depth[depth]
-        stats = window_cached.get(unit.key)
-        cached.append(stats is not None)
-        if stats is not None:
-            return stats
-        outcome = unit_outcomes.get(unit.key)
-        if outcome is not None:
-            attempts += outcome.attempts
-            latency = max(latency, outcome.latency)
-            if outcome.stats is not None:
-                return outcome.stats
-        missing = (
-            outcome.error
-            if outcome is not None and outcome.error
-            else f"window at depth {depth} was not measured"
-        )
-        return None
+        outcome = window_outcomes[by_depth[depth]]
+        cached.append(outcome.status == "cached")
+        attempts += outcome.attempts
+        latency = max(latency, outcome.latency)
+        if outcome.stats is None:
+            missing = outcome.error or f"window at depth {depth} failed"
+        return outcome.stats
 
     stats = assemble_windows(list(by_depth), measure)
     kept = stats.sample_regions if stats is not None else len(cached)
@@ -465,18 +429,9 @@ def _assemble_outcome(
         attempts=attempts,
         error=missing,
         latency=latency,
-        windows=len(units),
+        windows=len(windows),
         window_hits=sum(cached[:kept]),
     )
-
-
-def _run_item(item, snapshots=None) -> RunStats:
-    """The matrix's executor entry: run an ordinary
-    :class:`RunRequest` or one :class:`_WindowUnit` of an exploded
-    multi-region request. Top-level so the pool can pickle it."""
-    if isinstance(item, _WindowUnit):
-        item = item.request
-    return execute_request(item, snapshots)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -549,10 +504,9 @@ class RequestOutcome:
     error: str | None = None
     #: Wall-clock seconds from first submission to resolution.
     latency: float = 0.0
-    #: Window-parallel accounting (multi-region requests exploded into
-    #: per-window units): how many windows this request's schedule has,
-    #: and how many were answered from the windows cache namespace
-    #: instead of being measured.
+    #: Window accounting of a multi-region request: how many windows
+    #: its schedule has, and how many were answered from the windows
+    #: cache namespace instead of being measured.
     windows: int = 0
     window_hits: int = 0
 
@@ -605,8 +559,9 @@ class MatrixReport:
 
     @property
     def windows(self) -> int:
-        """Windows scheduled through the window-parallel decomposition
-        (0 when requests ran serially or came whole from the cache)."""
+        """Windows scheduled by the multi-region requests that missed
+        the run cache (0 when every request came whole from it), at
+        every worker count."""
         return sum(o.windows for o in _unique_outcomes(self.outcomes))
 
     @property
@@ -674,16 +629,18 @@ def run_matrix(
     one worker is useful or a ``timeout`` is set (in-process execution
     cannot be preempted), else in this process, in input order.
 
-    **Window-parallel sampling.** With more than one worker, every
-    multi-region request is exploded after the chain prebuild into
-    per-window work units that fan out through the same pool as
-    ordinary entries — inheriting timeout/retry/respawn/fault-plan
-    semantics — and are reassembled in depth order by
-    :func:`assemble_windows`, bit-identically. Each window also gets
-    its own content-addressed entry in the ``windows`` cache namespace,
-    so a re-sweep with an overlapping schedule (8 -> 10 regions, say)
-    recomputes only the new windows. ``jobs=1`` measures each request's
-    windows serially in one process: the bit-identity oracle.
+    **Window decomposition.** At every worker count, each multi-region
+    request is split after the chain prebuild into its window requests
+    (:func:`window_schedule`), which run through the attempt loop as
+    siblings of the plain requests — inheriting timeout/retry/respawn/
+    fault-plan semantics, and deduplicated with them — and are
+    reassembled in depth order by :func:`assemble_windows`,
+    bit-identically to :func:`execute_request`'s walk over the whole
+    request (the oracle). Each window also gets its own
+    content-addressed entry in the ``windows`` cache namespace, so a
+    re-sweep with an overlapping schedule (8 -> 10 regions, say)
+    recomputes only the new windows. ``jobs`` changes only how many
+    workers run them.
 
     Resilience knobs (see the module docstring for the failure model):
 
@@ -750,30 +707,33 @@ def run_matrix(
             timeout=timeout,
             retries=retries,
         )
-        # Two-level scheduling: with more than one worker, explode
-        # multi-region requests into per-window units (first-class
-        # siblings of the plain requests), answering already-measured
-        # windows from the ``windows`` cache namespace.
-        plans: dict[RunRequest, list[_WindowUnit]] = {}
-        window_cached: dict[str, RunStats] = {}
-        units_by_key: dict[str, _WindowUnit] = {}
-        if resolve_jobs(jobs) > 1:
-            for request in pending:
-                if request.sample_regions < 2:
-                    continue
-                plans[request] = window_schedule(request)
-                for unit in plans[request]:
-                    if unit.key in window_cached or unit.key in units_by_key:
-                        continue
-                    stats = cache.windows.get(unit.key)
-                    if stats is not None:
-                        window_cached[unit.key] = stats
-                    else:
-                        units_by_key[unit.key] = unit
+        # Two-level scheduling: every multi-region request splits into
+        # its window requests, siblings of the plain requests in the
+        # attempt loop; windows already measured are answered from the
+        # ``windows`` cache namespace.
+        from repro.harness.cache import window_fingerprint
+
+        plans = {
+            request: window_schedule(request)
+            for request in pending
+            if request.sample_regions >= 2
+        }
         plain = [r for r in pending if r not in plans]
+        window_outcomes: dict[RunRequest, RequestOutcome] = {}
+        fresh: list[RunRequest] = []
+        for window in dict.fromkeys(w for ws in plans.values() for w in ws):
+            stats = cache.windows.get(
+                window_fingerprint(window, window.fast_forward)
+            )
+            if stats is not None:
+                window_outcomes[window] = RequestOutcome(
+                    window, "cached", stats
+                )
+            else:
+                fresh.append(window)
         executed = _execute(
-            plain + list(units_by_key.values()),
-            functools.partial(_run_item, snapshots=cache.snapshots),
+            list(dict.fromkeys(plain + fresh)),
+            functools.partial(execute_request, snapshots=cache.snapshots),
             jobs=jobs,
             timeout=timeout,
             retries=retries,
@@ -782,18 +742,24 @@ def run_matrix(
             report=report,
         )
         # Publish fresh windows to their namespace, then reassemble
-        # each exploded request in depth order (halt-drop applied at
-        # assembly). Failed windows surface on the parent outcome.
-        unit_outcomes: dict[str, RequestOutcome] = {}
-        for item in list(executed):
-            if isinstance(item, _WindowUnit):
-                outcome = executed.pop(item)
-                unit_outcomes[item.key] = outcome
-                if outcome.status == "ok":
-                    cache.windows.put(item.key, outcome.stats)
-        for request, units in plans.items():
+        # each decomposed request in depth order (halt-drop applied at
+        # assembly). Failed windows surface on the parent outcome; a
+        # window that is also a plain request keeps its own outcome.
+        plain_set = set(plain)
+        for window in fresh:
+            outcome = (
+                executed[window] if window in plain_set
+                else executed.pop(window)
+            )
+            window_outcomes[window] = outcome
+            if outcome.status == "ok":
+                cache.windows.put(
+                    window_fingerprint(window, window.fast_forward),
+                    outcome.stats,
+                )
+        for request, windows in plans.items():
             executed[request] = _assemble_outcome(
-                request, units, window_cached, unit_outcomes
+                request, windows, window_outcomes
             )
     for request, outcome in executed.items():
         if outcome.status == "ok":
@@ -979,9 +945,10 @@ def _execute(
     the harness's one attempt loop. Returns ``{item: RequestOutcome}``.
 
     *entry* is an ``item -> result`` function, picklable when a pool
-    runs it: the matrix's :func:`_run_item`, the snapshot prebuild's
-    chain builder, the fuzz batch's seed check. Items are hashable and expose ``workload`` /
-    ``mode`` for the log lines; a planned fault targets the item's
+    runs it: the matrix's :func:`execute_request`, the snapshot
+    prebuild's chain builder, the fuzz batch's seed check. Items are
+    hashable and expose ``workload`` / ``mode`` for the log lines; a
+    planned fault targets the item's
     ``fault_target`` if it has one, else the item. ``jobs``,
     ``timeout``, ``retries`` and ``on_error`` are resolved here, from
     the argument or else the ``REPRO_*`` env.

@@ -37,7 +37,7 @@ import logging
 import sys
 
 from repro.harness.cache import fingerprint, window_fingerprint
-from repro.harness.parallel import assemble_windows, window_request
+from repro.harness.parallel import assemble_windows, window_schedule
 from repro.service.codec import decode_request, encode_request, encode_stats
 from repro.service.queue import JobQueue
 from repro.service.store import ContentStore
@@ -173,32 +173,34 @@ class ExperimentServer:
         *assembly* for the poll path. A half-warm 8→10-region re-sweep
         therefore enqueues only the 2 new windows. Requests without an
         explicit period (schedule depends on workload length) and
-        unsampled requests stay whole-request jobs.
+        unsampled requests stay whole-request jobs; the worker's
+        :func:`~repro.harness.parallel.run_matrix` still splits such a
+        job into windows and publishes them.
         """
         if request.sample_regions < 2 or request.sample_period <= 0:
             _, fresh = self.queue.submit(request)
             return None, int(fresh)
-        windows = [
-            (depth, window_fingerprint(request, depth))
-            for depth in request.schedule().depths
-        ]
+        windows = {
+            window_fingerprint(w, w.fast_forward): w
+            for w in window_schedule(request)
+        }
         self.queue.save_assembly(
             key,
             {
                 "request": encode_request(request),
-                "windows": [[depth, wkey] for depth, wkey in windows],
+                "windows": [
+                    [w.fast_forward, wkey] for wkey, w in windows.items()
+                ],
             },
         )
         stats, _error = self._assemble(key)
         if stats is not None:
             return stats, 0
         enqueued = 0
-        for depth, wkey in windows:
+        for wkey, window in windows.items():
             if self.store.windows.get(wkey) is not None:
                 continue
-            _, fresh = self.queue.submit(
-                window_request(request, depth), kind="window", key=wkey
-            )
+            _, fresh = self.queue.submit(window, kind="window", key=wkey)
             enqueued += int(fresh)
         self.counters["window_jobs"] += enqueued
         return None, enqueued

@@ -21,11 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 
-def boolean(text: str) -> bool:
-    """A boolean knob: ``""`` and ``"0"`` are off, anything else on."""
-    return text not in ("", "0")
-
-
 def url(text: str) -> str | None:
     """A service endpoint, stripped of whitespace and trailing ``/``
     (``None`` when nothing is left)."""
@@ -79,11 +74,6 @@ SETTINGS: tuple[Setting, ...] = (
         "aborts the experiment (default), 'skip' records the failure, "
         "finishes the matrix, and exits with code 3",
         choices=ON_ERROR_POLICIES,
-    ),
-    Setting(
-        "no_skip", "REPRO_NO_SKIP", "--no-skip", boolean, False,
-        "disable event-driven cycle skipping in the core loop "
-        "(step every cycle; slower, for differential testing)",
     ),
     Setting(
         "fast_forward", "REPRO_FAST_FORWARD", "--fast-forward", int, 0,

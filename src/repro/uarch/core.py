@@ -94,7 +94,7 @@ class Core:
         #: idle (nothing fetchable, issuable, or committable), jump
         #: straight to the next wake-up event instead of stepping every
         #: cycle. ``False`` preserves the classic stepping loop (the
-        #: ``--no-skip`` escape hatch); both produce identical stats.
+        #: timing oracle); both produce identical stats.
         self.event_driven = event_driven
         #: Debug mode for slice authors: raise
         #: :class:`~repro.errors.SliceRunawayError` when a helper

@@ -52,7 +52,6 @@ def test_regimes_ignore_the_ambient_environment(monkeypatch):
     module under a stray environment measures the same runs."""
     clean = {name: r.request for name, r in bench.REGIMES.items()}
     with monkeypatch.context() as env:
-        env.setenv("REPRO_NO_SKIP", "1")
         env.setenv("REPRO_SAMPLE", "500")
         env.setenv("REPRO_FAST_FORWARD", "1000")
         importlib.reload(bench)

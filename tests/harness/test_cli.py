@@ -160,7 +160,6 @@ _FLAG_VALUES = {
     "timeout": ("7", "7.0"),
     "retries": ("2", "2"),
     "on_error": ("skip", "skip"),
-    "no_skip": (None, "1"),
     "fast_forward": ("9", "9"),
     "sample": ("4", "4"),
     "sample_regions": ("6", "6"),

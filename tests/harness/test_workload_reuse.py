@@ -33,7 +33,7 @@ def test_window_result_is_independent_of_process_history(
         workload="mcf", scale=0.2, mode="base",
         sample=300, sample_regions=4, sample_period=1_000,
     )
-    window = window_schedule(parent)[2].request
+    window = window_schedule(parent)[2]
     # Store the snapshot first, so every run reads it back
     # (``snapshot_hit`` is one of the compared fields).
     ensure_snapshot(
@@ -55,7 +55,7 @@ def test_window_result_is_independent_of_process_history(
     image = _image_digest(workload.memory_image)
     # Same workload, another depth and another mode: four snapshot
     # restores into one build, which runs the closures compiled so far.
-    execute_request(window_schedule(parent)[1].request)
+    execute_request(window_schedule(parent)[1])
     execute_request(dataclasses.replace(window, mode="slice"))
     second = execute_request(window)
     assert parallel._last_workload[1] is workload  # reused, not rebuilt

@@ -86,7 +86,7 @@ def test_sweep_decomposes_into_window_jobs(server):
     polled = poll(server, first["sweep"])
     assert polled["pending"] == []
     got = decode_stats(polled["results"][key])
-    # Bit-identical to the in-process serial loop, every field.
+    # Bit-identical to the in-process walk, every field.
     want = execute_request(SWEEP)
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
     assert server.counters["assembled"] == 1
@@ -134,7 +134,7 @@ def test_failed_window_past_the_halt_is_never_needed(server):
     """mcf@0.2 halts at ~11.1k instructions, so of depths 0/5k/10k/15k/
     20k the 15k window is the short one. The poll serves the parent
     even though the 20k window's job failed: that window is never
-    looked up, exactly as the serial loop never runs it."""
+    looked up, exactly as the walk never runs it."""
     sweep = RunRequest(
         workload="mcf", scale=0.2, mode="base",
         sample=500, sample_regions=5, sample_period=5_000,
