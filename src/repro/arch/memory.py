@@ -81,10 +81,6 @@ class Memory:
             else:
                 words[addr] = old
 
-    def commit(self, mark: int = 0) -> None:
-        """Discard journal entries at or after *mark* (writes become final)."""
-        del self._journal[mark:]
-
     def snapshot(self) -> dict[int, int]:
         """Return a copy of the current memory contents (for tests)."""
         return dict(self._words)

@@ -2,7 +2,8 @@
 
 32 integer registers; index 31 is hardwired to zero. As with
 :class:`~repro.arch.memory.Memory`, writes are journaled so speculative
-(wrong-path) execution can be rolled back.
+(wrong-path) execution can be rolled back. The interpreter's dispatch
+closures write ``_regs`` and ``_journal`` directly.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ class RegFile:
     def read(self, index: int) -> int:
         return self._regs[index]
 
-    def write(self, index: int, value: int) -> None:
-        """Write *value* (wrapped to signed 64-bit); r31 writes vanish."""
-        if index == ZERO_REG:
-            return
-        if self.journaling:
-            self._journal.append((index, self._regs[index]))
-        self._regs[index] = to_signed(value)
-
     def mark(self) -> int:
         return len(self._journal)
 
@@ -41,9 +34,6 @@ class RegFile:
         while len(journal) > mark:
             index, old = journal.pop()
             regs[index] = old
-
-    def commit(self, mark: int = 0) -> None:
-        del self._journal[mark:]
 
     def values(self) -> list[int]:
         """Return a copy of all 32 register values."""

@@ -1,9 +1,9 @@
 """Checksummed, quarantining on-disk store: the one implementation
 behind every cache namespace.
 
-Every namespace of the cache root — run results
-(:class:`~repro.harness.cache.RunCache`), per-window results
-(:class:`~repro.harness.cache.WindowCache`), warmed snapshots
+Every namespace of the cache root — run results, each window of a
+multi-region run included (:class:`~repro.harness.cache.RunCache`),
+warmed snapshots
 (:class:`~repro.harness.fastforward.SnapshotStore`) and the fuzz corpus
 (:class:`~repro.service.store.FuzzNamespace`) — is an
 :class:`IntegrityStore` subclass that only *declares* its subdirectory,

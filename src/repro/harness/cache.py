@@ -19,9 +19,12 @@ corrupt-quarantine disk discipline of
 :class:`~repro.harness.blobstore.IntegrityStore`; a corrupt entry is
 moved to ``.repro_cache/corrupt/``, counted
 (:attr:`RunCache.corruptions`), and logged, then treated as a miss.
-A run cache carries its sibling namespaces under the same root:
-``windows`` (:class:`WindowCache`) and ``snapshots``
-(:class:`~repro.harness.fastforward.SnapshotStore`). Escape hatches:
+A window of a multi-region run is itself a single-window
+``RunRequest`` (:func:`~repro.harness.parallel.window_request`), so its
+result is an ordinary entry keyed by :func:`fingerprint`. A run cache
+carries the ``snapshots`` namespace
+(:class:`~repro.harness.fastforward.SnapshotStore`) under the same
+root. Escape hatches:
 the ``--no-cache`` CLI flag and ``repro cache clear``.
 """
 
@@ -39,12 +42,10 @@ from repro.uarch.stats import RunStats
 __all__ = [
     "RunCache",
     "SCHEMA_VERSION",
-    "WindowCache",
     "content_key",
     "fingerprint",
     "request_payload",
     "source_tree_hash",
-    "window_fingerprint",
 ]
 
 #: Bump when the cache payload layout changes; old entries become
@@ -105,46 +106,10 @@ def fingerprint(request, source_hash: str | None = None) -> str:
     )
 
 
-def window_fingerprint(request, depth: int, source_hash: str | None = None) -> str:
-    """Content-addressed key for one detailed *window* of a sampled run.
-
-    A multi-region request is a schedule of independent windows; each
-    window's result depends on the request *minus* the schedule
-    (``sample_regions``/``sample_period`` choose which windows exist,
-    not what any one of them computes, and ``fast_forward`` is the
-    schedule's origin, not the window's own depth) *plus* the window's
-    own coordinates: its chain depth and the derived warmup/sample
-    lengths. Two schedules that overlap — an 8-region sweep re-run at
-    10 regions, or a shifted ``fast_forward`` whose periodic grid lands
-    on the same depths — therefore share entries for every common
-    window instead of recomputing whole requests.
-    """
-    base = request_payload(request)
-    sample = base.pop("sample")
-    for field in ("fast_forward", "sample_regions", "sample_period"):
-        base.pop(field)
-    # Local import: fastforward imports this module for the key scheme,
-    # so the warmup rule is resolved lazily.
-    from repro.harness.fastforward import detail_warmup
-
-    warmup = detail_warmup(sample)
-    return content_key(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "window",
-            "request": base,
-            "window": {"depth": depth, "warmup": warmup, "sample": sample},
-        },
-        source_hash,
-    )
-
-
+# No code under ``src`` constructs this class; the end-to-end
+# benchmark's tracer imports it and wraps its ``get``/``put``, so it
+# stays declared until that import goes.
 class WindowCache(IntegrityStore):
-    """Per-window results under ``<cache root>/windows/``, keyed by
-    :func:`window_fingerprint`: the finer-grained sibling of
-    :class:`RunCache`, one entry per detailed window of a multi-region
-    run."""
-
     subdir = "windows"
     magic = b"repro-window-%d\n" % SCHEMA_VERSION
     suffix = ".win"
@@ -152,13 +117,13 @@ class WindowCache(IntegrityStore):
 
 
 class RunCache(IntegrityStore):
-    """Whole-run results at the cache root, keyed by :func:`fingerprint`.
+    """Run results at the cache root, keyed by :func:`fingerprint`:
+    whole runs and single windows of multi-region runs alike.
 
-    A run cache knows its sibling namespaces under the same root:
-    ``windows`` shares its ``enabled`` flag; ``snapshots`` is always
-    enabled, so a disabled run cache (``--no-cache``) still reuses
-    warmed snapshots instead of re-warming every window from the entry
-    point.
+    A run cache knows its ``snapshots`` sibling under the same root.
+    The snapshot store is always enabled, so a disabled run cache
+    (``--no-cache``) still reuses warmed snapshots instead of
+    re-warming every window from the entry point.
     """
 
     magic = b"repro-cache-%d\n" % SCHEMA_VERSION
@@ -174,7 +139,6 @@ class RunCache(IntegrityStore):
         from repro.harness.fastforward import SnapshotStore
 
         super().__init__(cache_root, enabled)
-        self.windows = WindowCache(self.cache_root, enabled)
         self.snapshots = SnapshotStore(self.cache_root)
 
     def get(self, request) -> RunStats | None:

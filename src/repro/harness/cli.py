@@ -580,9 +580,8 @@ def run_fuzz(args: argparse.Namespace) -> int:
 
 def run_cache_action(args: argparse.Namespace) -> int:
     """``repro cache clear`` / ``repro cache stats`` over the unified
-    :class:`~repro.service.store.ContentStore` (runs, per-window
-    results, snapshots, fuzz corpus, and the service job queue share
-    one root)."""
+    :class:`~repro.service.store.ContentStore` (runs, snapshots, fuzz
+    corpus, and the service job queue share one root)."""
     from repro.service.store import ContentStore
 
     store = ContentStore()
@@ -640,7 +639,6 @@ def run_cache_action(args: argparse.Namespace) -> int:
     removed = store.clear()
     parts = [
         f"{removed['runs']} cached run(s)",
-        f"{removed['windows']} window result(s)",
         f"{removed['snapshots']} snapshot(s)",
         f"{removed['fuzz']} fuzz repro(s)",
     ]

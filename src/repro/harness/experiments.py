@@ -86,16 +86,9 @@ SAMPLED_WINDOW = 2_000
 _HORIZON_MARGIN = 0.97
 
 
-def run_length(name: str, scale: float) -> int:
-    """Modeled functional run length (instructions to HALT) of
-    workload *name* at *scale*."""
-    anchor, insts, exponent = RUN_LENGTH_MODEL[name]
-    return int(insts * (scale / anchor) ** exponent)
-
-
 def scale_for_horizon(name: str, horizon: int | None = None) -> float:
     """The scale at which workload *name* runs ~*horizon* instructions
-    before HALT (inverse of :func:`run_length`).
+    before HALT: the inverse of the :data:`RUN_LENGTH_MODEL` power law.
 
     Floored (not rounded) to two decimals: rounding up can cross onto
     one of gzip's anomalous inputs (e.g. 11.33 runs 5.65M instructions

@@ -383,8 +383,7 @@ def window_request(request: RunRequest, depth: int) -> RunRequest:
 def window_schedule(request: RunRequest) -> list[RunRequest]:
     """The single-window requests a multi-region *request* decomposes
     into, in depth order (:func:`window_request` at each scheduled
-    depth). Window *w*'s ``windows``-namespace key is
-    ``window_fingerprint(w, w.fast_forward)``."""
+    depth). Each is cached under its own ``fingerprint(w)``."""
     return [
         window_request(request, depth) for depth in request.schedule().depths
     ]
@@ -396,7 +395,7 @@ def _assemble_outcome(
     window_outcomes: dict[RunRequest, "RequestOutcome"],
 ) -> "RequestOutcome":
     """Reassemble one decomposed request from its windows' outcomes
-    (``"cached"`` from the ``windows`` namespace, else executed) with
+    (``"cached"`` from the run cache, else executed) with
     :func:`assemble_windows`; a window that failed (skipped after
     exhausting retries) fails the whole request unless an earlier short
     chain member already dropped it.
@@ -505,8 +504,8 @@ class RequestOutcome:
     #: Wall-clock seconds from first submission to resolution.
     latency: float = 0.0
     #: Window accounting of a multi-region request: how many windows
-    #: its schedule has, and how many were answered from the windows
-    #: cache namespace instead of being measured.
+    #: its schedule has, and how many were answered from the run cache
+    #: instead of being measured.
     windows: int = 0
     window_hits: int = 0
 
@@ -566,9 +565,9 @@ class MatrixReport:
 
     @property
     def window_hits(self) -> int:
-        """Windows answered from the windows cache namespace instead of
-        measured — the per-window reuse a re-sweep with an overlapping
-        schedule (e.g. 8 -> 10 regions) gets."""
+        """Windows answered from the run cache instead of measured —
+        the per-window reuse a re-sweep with an overlapping schedule
+        (e.g. 8 -> 10 regions) gets."""
         return sum(o.window_hits for o in _unique_outcomes(self.outcomes))
 
     def stats_list(self) -> list[RunStats]:
@@ -636,8 +635,8 @@ def run_matrix(
     fault-plan semantics, and deduplicated with them — and are
     reassembled in depth order by :func:`assemble_windows`,
     bit-identically to :func:`execute_request`'s walk over the whole
-    request (the oracle). Each window also gets its own
-    content-addressed entry in the ``windows`` cache namespace, so a
+    request (the oracle). Each window is a ``RunRequest`` with its own
+    run-cache entry under :func:`~repro.harness.cache.fingerprint`, so a
     re-sweep with an overlapping schedule (8 -> 10 regions, say)
     recomputes only the new windows. ``jobs`` changes only how many
     workers run them.
@@ -709,10 +708,7 @@ def run_matrix(
         )
         # Two-level scheduling: every multi-region request splits into
         # its window requests, siblings of the plain requests in the
-        # attempt loop; windows already measured are answered from the
-        # ``windows`` cache namespace.
-        from repro.harness.cache import window_fingerprint
-
+        # attempt loop; windows already measured are run-cache hits.
         plans = {
             request: window_schedule(request)
             for request in pending
@@ -722,9 +718,7 @@ def run_matrix(
         window_outcomes: dict[RunRequest, RequestOutcome] = {}
         fresh: list[RunRequest] = []
         for window in dict.fromkeys(w for ws in plans.values() for w in ws):
-            stats = cache.windows.get(
-                window_fingerprint(window, window.fast_forward)
-            )
+            stats = cache.get(window)
             if stats is not None:
                 window_outcomes[window] = RequestOutcome(
                     window, "cached", stats
@@ -741,22 +735,11 @@ def run_matrix(
             fault_plan=fault_plan,
             report=report,
         )
-        # Publish fresh windows to their namespace, then reassemble
-        # each decomposed request in depth order (halt-drop applied at
-        # assembly). Failed windows surface on the parent outcome; a
-        # window that is also a plain request keeps its own outcome.
-        plain_set = set(plain)
-        for window in fresh:
-            outcome = (
-                executed[window] if window in plain_set
-                else executed.pop(window)
-            )
-            window_outcomes[window] = outcome
-            if outcome.status == "ok":
-                cache.windows.put(
-                    window_fingerprint(window, window.fast_forward),
-                    outcome.stats,
-                )
+        # Reassemble each decomposed request in depth order (halt-drop
+        # applied at assembly); failed windows surface on the parent
+        # outcome. Fresh windows stay in ``executed``, so the loop
+        # below publishes them like any other request.
+        window_outcomes.update((window, executed[window]) for window in fresh)
         for request, windows in plans.items():
             executed[request] = _assemble_outcome(
                 request, windows, window_outcomes
@@ -764,7 +747,7 @@ def run_matrix(
     for request, outcome in executed.items():
         if outcome.status == "ok":
             cache.put(request, outcome.stats)
-        else:
+        elif request in by_request:
             _skipped_log.append(outcome)
         resolved[request] = outcome
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import INSTRUCTION_BYTES
 
 
 @dataclass
@@ -57,11 +56,6 @@ class Program:
 
     def __contains__(self, pc: int) -> bool:
         return pc in self._by_pc
-
-    @property
-    def end_pc(self) -> int:
-        """One past the last instruction's PC."""
-        return self.base_pc + len(self.instructions) * INSTRUCTION_BYTES
 
     def drop_block_caches(self) -> None:
         """Invalidate compiled-trace caches keyed on this program.

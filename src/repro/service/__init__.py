@@ -8,7 +8,7 @@ into reusable halves:
   :class:`~repro.harness.parallel.RunRequest`\\ s (SQLite under
   ``.repro_cache/queue/``) with worker lease/claim/heartbeat semantics.
 * :mod:`repro.service.store` — :class:`ContentStore`: the run cache
-  plus its windows, snapshots and fuzz namespaces on one cache root,
+  plus its snapshots and fuzz namespaces on one cache root,
   with stats, clear and persistent hit/miss counters.
 * :mod:`repro.service.server` — ``repro serve``: an asyncio HTTP API
   that answers sweep queries from the store in O(1) and enqueues only

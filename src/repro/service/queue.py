@@ -4,6 +4,8 @@ One SQLite database under ``<cache root>/queue/jobs.db`` holds every
 outstanding :class:`~repro.harness.parallel.RunRequest` as a job keyed
 by its run-cache fingerprint — the same content address the result
 will be published under — plus the sweeps the server has accepted.
+A window of a decomposed multi-region sweep is such a job too: its
+request is the single-window ``RunRequest`` it computes.
 SQLite gives the queue what the file-per-entry stores cannot: an
 atomic compare-and-set per claim, so any number of ``repro worker``
 processes on any machines sharing the cache root can drain one queue
@@ -54,7 +56,6 @@ _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     key            TEXT PRIMARY KEY,
     request        TEXT NOT NULL,
-    kind           TEXT NOT NULL DEFAULT 'run',
     status         TEXT NOT NULL DEFAULT 'pending',
     attempts       INTEGER NOT NULL DEFAULT 0,
     max_attempts   INTEGER NOT NULL,
@@ -83,12 +84,6 @@ CREATE TABLE IF NOT EXISTS counters (
 
 JOB_STATUSES = ("pending", "leased", "done", "failed")
 
-#: Job kinds: a ``run`` job's key is the run-cache fingerprint of its
-#: request; a ``window`` job's key is the *windows*-namespace
-#: fingerprint and its request is the derived single-window request
-#: (see :func:`~repro.harness.parallel.window_request`).
-JOB_KINDS = ("run", "window")
-
 
 def default_owner() -> str:
     """Worker identity for lease bookkeeping (diagnostic, not auth)."""
@@ -107,7 +102,6 @@ class Job:
     owner: str | None
     lease_deadline: float | None
     error: str | None
-    kind: str = "run"
 
 
 class JobQueue:
@@ -135,19 +129,6 @@ class JobQueue:
             check_same_thread=False,
         )
         self._db.executescript(_SCHEMA)
-        # Migration: queue databases from before window-parallel
-        # execution lack the ``kind`` column (and get the assemblies
-        # table from the executescript above); every old row is a
-        # whole-request job, exactly what the default says.
-        columns = {
-            row[1]
-            for row in self._db.execute("PRAGMA table_info(jobs)")
-        }
-        if "kind" not in columns:
-            self._db.execute(
-                "ALTER TABLE jobs ADD COLUMN kind TEXT NOT NULL"
-                " DEFAULT 'run'"
-            )
 
     def close(self) -> None:
         with self._lock:
@@ -157,25 +138,19 @@ class JobQueue:
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(
-        self, request, kind: str = "run", key: str | None = None
-    ) -> tuple[str, bool]:
-        """Enqueue *request*; return ``(key, enqueued)``.
+    def submit(self, request) -> tuple[str, bool]:
+        """Enqueue *request* under ``fingerprint(request)``; return
+        ``(key, enqueued)``.
 
         Idempotent on the content-addressed key: a request already
         pending, leased, or done is not enqueued again (``enqueued``
         False); a previously *failed* job is revived to ``pending``
-        with a fresh attempt budget. ``kind="window"`` jobs carry the
-        derived single-window request and must pass their
-        windows-namespace *key* explicitly (the run fingerprint of a
-        derived request is *not* its window key).
+        with a fresh attempt budget. A window of a decomposed sweep is
+        submitted as the single-window request it is
+        (:func:`~repro.harness.parallel.window_request`), so it shares
+        its job with an identical plain request.
         """
-        if kind not in JOB_KINDS:
-            raise ValueError(f"unknown job kind {kind!r}; known: {JOB_KINDS}")
-        if key is None:
-            if kind != "run":
-                raise ValueError("window jobs need an explicit key")
-            key = fingerprint(request)
+        key = fingerprint(request)
         payload = json.dumps(
             encode_request(request), sort_keys=True, separators=(",", ":")
         )
@@ -188,10 +163,10 @@ class JobQueue:
                 ).fetchone()
                 if row is None:
                     self._db.execute(
-                        "INSERT INTO jobs (key, request, kind, status,"
+                        "INSERT INTO jobs (key, request, status,"
                         " attempts, max_attempts, created, updated)"
-                        " VALUES (?, ?, ?, 'pending', 0, ?, ?, ?)",
-                        (key, payload, kind, self.max_attempts, now, now),
+                        " VALUES (?, ?, 'pending', 0, ?, ?, ?)",
+                        (key, payload, self.max_attempts, now, now),
                     )
                     self._bump("submitted")
                     enqueued = True
@@ -235,7 +210,7 @@ class JobQueue:
                 while True:
                     row = self._db.execute(
                         "SELECT key, request, status, attempts,"
-                        " max_attempts, kind"
+                        " max_attempts"
                         " FROM jobs WHERE status = 'pending'"
                         " OR (status = 'leased' AND lease_deadline < ?)"
                         " ORDER BY created LIMIT 1",
@@ -244,7 +219,7 @@ class JobQueue:
                     if row is None:
                         self._db.execute("COMMIT")
                         return None
-                    key, payload, status, attempts, max_attempts, kind = row
+                    key, payload, status, attempts, max_attempts = row
                     if status == "leased":
                         self._bump("lease_expiries")
                         if attempts >= max_attempts:
@@ -277,7 +252,6 @@ class JobQueue:
                         owner=owner,
                         lease_deadline=now + lease,
                         error=None,
-                        kind=kind,
                     )
             except BaseException:
                 self._db.execute("ROLLBACK")
@@ -378,7 +352,8 @@ class JobQueue:
         *payload* is ``{"request": <encoded parent request>,
         "windows": [[depth, window_key], ...]}`` in depth order — all
         the server's poll path needs to reassemble the aggregate once
-        every (kept) window has landed in the windows namespace.
+        every (kept) window has landed in the run cache. A window key
+        is the window request's own fingerprint.
         """
         with self._lock:
             self._db.execute(
@@ -402,7 +377,7 @@ class JobQueue:
         with self._lock:
             row = self._db.execute(
                 "SELECT key, request, status, attempts, max_attempts,"
-                " owner, lease_deadline, error, kind"
+                " owner, lease_deadline, error"
                 " FROM jobs WHERE key = ?",
                 (key,),
             ).fetchone()
@@ -417,7 +392,6 @@ class JobQueue:
             owner=row[5],
             lease_deadline=row[6],
             error=row[7],
-            kind=row[8],
         )
 
     def status_counts(self) -> dict[str, int]:

@@ -36,7 +36,7 @@ import json
 import logging
 import sys
 
-from repro.harness.cache import fingerprint, window_fingerprint
+from repro.harness.cache import fingerprint
 from repro.harness.parallel import assemble_windows, window_schedule
 from repro.service.codec import decode_request, encode_request, encode_stats
 from repro.service.queue import JobQueue
@@ -84,7 +84,7 @@ class ExperimentServer:
             "enqueued": 0,
             #: Window-decomposition accounting: window jobs enqueued
             #: (a subset of ``enqueued``), and multi-region parents
-            #: reassembled from per-window store hits.
+            #: reassembled from per-window run-cache hits.
             "window_jobs": 0,
             "assembled": 0,
         }
@@ -167,11 +167,13 @@ class ExperimentServer:
 
         A multi-region request with an explicit ``sample_period`` has a
         closed-form window schedule (no workload build — the server
-        never simulates), so it is decomposed: each window already in
-        the ``windows`` namespace is a hit, each missing window becomes
-        one ``kind="window"`` job, and the parent is registered as an
-        *assembly* for the poll path. A half-warm 8→10-region re-sweep
-        therefore enqueues only the 2 new windows. Requests without an
+        never simulates), so it is decomposed into its window requests:
+        each window already in the run cache is a hit, each missing one
+        is submitted as the ordinary job it is (keyed by its own
+        fingerprint, so it shares that job with an identical plain
+        request), and the parent is registered as an *assembly* for
+        the poll path. A half-warm 8→10-region re-sweep therefore
+        enqueues only the 2 new windows. Requests without an
         explicit period (schedule depends on workload length) and
         unsampled requests stay whole-request jobs; the worker's
         :func:`~repro.harness.parallel.run_matrix` still splits such a
@@ -180,10 +182,7 @@ class ExperimentServer:
         if request.sample_regions < 2 or request.sample_period <= 0:
             _, fresh = self.queue.submit(request)
             return None, int(fresh)
-        windows = {
-            window_fingerprint(w, w.fast_forward): w
-            for w in window_schedule(request)
-        }
+        windows = {fingerprint(w): w for w in window_schedule(request)}
         self.queue.save_assembly(
             key,
             {
@@ -198,9 +197,9 @@ class ExperimentServer:
             return stats, 0
         enqueued = 0
         for wkey, window in windows.items():
-            if self.store.windows.get(wkey) is not None:
+            if self.store.runs.get_by_key(wkey) is not None:
                 continue
-            _, fresh = self.queue.submit(window, kind="window", key=wkey)
+            _, fresh = self.queue.submit(window)
             enqueued += int(fresh)
         self.counters["window_jobs"] += enqueued
         return None, enqueued
@@ -223,7 +222,7 @@ class ExperimentServer:
         failed: list[str] = []
 
         def measure(depth: int):
-            stats = self.store.windows.get(wkeys[depth])
+            stats = self.store.runs.get_by_key(wkeys[depth])
             if stats is None:
                 job = self.queue.job(wkeys[depth])
                 if job is not None and job.status == "failed":

@@ -1,13 +1,13 @@
 """The content store: every namespace of one cache root behind one
 object.
 
-Four namespaces share the cache root and its ``corrupt/`` quarantine,
+Three namespaces share the cache root and its ``corrupt/`` quarantine,
 each an :class:`~repro.harness.blobstore.IntegrityStore` declaration
 with its own subdirectory, suffix and schema check:
 
-* ``runs`` — whole-run results (:class:`~repro.harness.cache.RunCache`);
-* ``windows`` — per-window results of multi-region runs
-  (:class:`~repro.harness.cache.WindowCache`);
+* ``runs`` — run results (:class:`~repro.harness.cache.RunCache`),
+  each window of a multi-region run included: a window is the
+  single-window ``RunRequest`` it computes;
 * ``snapshots`` — warmed snapshots and chains
   (:class:`~repro.harness.fastforward.SnapshotStore`);
 * ``fuzz`` — the fuzz corpus (:class:`FuzzNamespace`). Cases stay
@@ -36,7 +36,7 @@ from repro.harness.blobstore import IntegrityStore
 from repro.harness.cache import RunCache
 
 #: Namespaces every :class:`ContentStore` exposes, in display order.
-NAMESPACES = ("runs", "windows", "snapshots", "fuzz")
+NAMESPACES = ("runs", "snapshots", "fuzz")
 
 #: Persistent counter accumulator under the cache root.
 COUNTERS_FILE = "stats_counters.json"
@@ -86,7 +86,6 @@ class ContentStore(RunCache):
     def namespaces(self) -> dict[str, IntegrityStore]:
         return {
             "runs": self,
-            "windows": self.windows,
             "snapshots": self.snapshots,
             "fuzz": self.fuzz,
         }

@@ -81,23 +81,14 @@ class Worker:
         if job is None:
             return False
         log.info(
-            "worker %s leased %s %s (%s/%s, attempt %d/%d)",
+            "worker %s leased %s (%s/%s, attempt %d/%d)",
             self.owner,
-            job.kind,
             job.key[:12],
             job.request.workload,
             job.request.mode,
             job.attempts,
             job.max_attempts,
         )
-        if job.kind == "window" and self.store.windows.get(job.key) is not None:
-            # Another worker (or an in-process run sharing the cache
-            # root) already published this window; the job is pure
-            # bookkeeping now.
-            if self.queue.complete(job.key, self.owner):
-                self.completed += 1
-            self.store.flush_counters()
-            return True
         if self.fault_plan is not None:
             # Worker-level fault injection: a planned CRASH kills this
             # process *while it holds the lease* (attempt indices are
@@ -112,28 +103,21 @@ class Worker:
         beat.start()
         try:
             # One-element matrix through the standard harness path:
-            # cache hit short-circuits, a fresh run lands in the shared
-            # store via ``cache.put`` — publication and execution are
-            # one step. ``direct_execution`` pins this thread to the
-            # in-process backend: the executor must never become a
-            # thin client of the queue it just claimed from.
+            # cache hit short-circuits (a window another worker or an
+            # in-process run already published, say), a fresh run lands
+            # in the shared store via ``cache.put`` — publication and
+            # execution are one step. ``direct_execution`` pins this
+            # thread to the in-process backend: the executor must never
+            # become a thin client of the queue it just claimed from.
             with direct_execution():
-                report = run_matrix(
+                run_matrix(
                     [job.request],
                     jobs=self.jobs,
                     cache=self.store.runs,
                     timeout=self.timeout,
                     retries=self.retries,
                     on_error="raise",
-                    return_report=True,
                 )
-            if job.kind == "window":
-                # A window job's request is the derived single-window
-                # run; its aggregate IS the window's stats. Publish
-                # under the windows-namespace key the server will poll
-                # (the run-cache entry for the derived request also
-                # landed above, via the ordinary cache.put path).
-                self.store.windows.put(job.key, report.outcomes[0].stats)
         except Exception as exc:  # noqa: BLE001 — lease boundary
             stop.set()
             beat.join()

@@ -70,10 +70,6 @@ class SliceTable:
         if not is_statically_bounded(spec):
             self.unbounded_slices.add(spec.name)
 
-    def match(self, pc: int) -> list[SliceSpec]:
-        """Return the slices whose fork PC equals the fetched *pc*."""
-        return self._by_fork_pc.get(pc, [])
-
     def at_index(self, index: int) -> SliceSpec | None:
         """Entry lookup for explicit ``fork`` instructions (Section 4.2)."""
         if 0 <= index < len(self._in_order):

@@ -15,9 +15,6 @@ profile facts the caller supplies rather than by proofs:
   removing communication through memory ("the most important"
   optimization per Section 3.2).
 * :func:`eliminate_moves` — removes register moves by renaming uses.
-* :func:`remove_redundant_masking` — drops ``and rd, ra, mask``
-  operations whose input provably already fits the mask ("eliminating
-  unnecessary operand masking").
 * :func:`remove_dead_code` — drops instructions whose results are
   never used (loads are kept only if the caller marks them as
   prefetches worth keeping).
@@ -166,63 +163,6 @@ def eliminate_moves(
         i += 1
     if report is not None:
         report.add("move elimination", removed)
-    return insts
-
-
-def remove_redundant_masking(
-    insts: list[Instruction],
-    known_bounded: dict[int, int] | None = None,
-    report: OptimizationReport | None = None,
-) -> list[Instruction]:
-    """Drop ``and rd, ra, mask`` when ``ra`` provably fits the mask.
-
-    Tracks simple value-range facts forward: a previous ``and`` with a
-    sub-mask, an ``srl`` of a bounded value, or a caller-supplied bound
-    for a live-in register (value profiling, Section 3.2). When the
-    masked register already fits, the AND is replaced by renaming its
-    uses — one fewer instruction on the slice's critical path.
-    """
-    insts = _clone(insts)
-    bounds: dict[int, int] = dict(known_bounded or {})  # reg -> max mask
-    removed = 0
-    index = 0
-    while index < len(insts):
-        inst = insts[index]
-        if (
-            inst.op is Opcode.AND
-            and inst.imm is not None
-            and inst.imm > 0
-            and inst.ra in bounds
-            and bounds[inst.ra] & inst.imm == bounds[inst.ra]
-        ):
-            dest, src = inst.rd, inst.ra
-            removed += 1
-            del insts[index]
-            if dest != src:
-                for later in insts[index:]:
-                    _rename_reads(later, dest, src)
-                    if later.writes_dest and later.rd == dest:
-                        break
-            continue
-        # Forward range facts.
-        if inst.writes_dest:
-            if inst.op is Opcode.AND and inst.imm is not None and inst.imm > 0:
-                bounds[inst.rd] = inst.imm
-            elif (
-                inst.op is Opcode.SRL
-                and inst.imm is not None
-                and inst.ra in bounds
-            ):
-                bounds[inst.rd] = bounds[inst.ra] >> inst.imm
-            elif inst.op is Opcode.LI and inst.imm is not None and inst.imm >= 0:
-                bounds[inst.rd] = inst.imm
-            elif inst.op is Opcode.MOV and inst.ra in bounds:
-                bounds[inst.rd] = bounds[inst.ra]
-            else:
-                bounds.pop(inst.rd, None)
-        index += 1
-    if report is not None:
-        report.add("masking removal", removed)
     return insts
 
 

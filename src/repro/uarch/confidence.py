@@ -64,6 +64,3 @@ class ForkConfidenceEstimator:
             state.counter = min(state.counter + self.up, self.max_count)
         else:
             state.counter = max(state.counter - self.down, 0)
-
-    def confidence(self, slice_name: str) -> int:
-        return self._state(slice_name).counter

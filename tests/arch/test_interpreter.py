@@ -227,10 +227,10 @@ def test_checkpoint_rollback_spans_regs_and_memory():
     prog = asm.build()
     mem = Memory()
     state = ThreadState(mem, 0)
-    state.regs.write(1, 5)
+    state.regs.load_values({1: 5})
     mem.store(0x200, 5)
     cp = state.checkpoint(resume_pc=0x1234)
-    state.regs.write(1, 6)
+    execute(Instruction(Opcode.LI, rd=1, imm=6, pc=0), state)
     mem.store(0x200, 6)
     state.halted = True
     state.rollback(cp)

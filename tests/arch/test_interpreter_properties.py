@@ -28,8 +28,7 @@ ORACLES = {
 )
 def test_binary_ops_match_oracle(op, a, b):
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, a)
-    state.regs.write(2, b)
+    state.regs.load_values({1: a, 2: b})
     inst = Instruction(op, rd=3, ra=1, rb=2, pc=0)
     result = execute(inst, state)
     assert result.value == to_signed(ORACLES[op](a, b))
@@ -41,7 +40,7 @@ def test_binary_ops_match_oracle(op, a, b):
 def test_shift_identities(value, amount):
     """sll then srl recovers the low bits; sra preserves sign."""
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, value)
+    state.regs.load_values({1: value})
     execute(Instruction(Opcode.SLL, rd=2, ra=1, imm=amount, pc=0), state)
     execute(Instruction(Opcode.SRL, rd=3, ra=2, imm=amount, pc=4), state)
     mask = (1 << (64 - amount)) - 1
@@ -53,9 +52,7 @@ def test_shift_identities(value, amount):
 @given(VALUES, VALUES)
 def test_cmov_selects_correctly(cond, alt):
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, cond)
-    state.regs.write(2, alt)
-    state.regs.write(3, 111)
+    state.regs.load_values({1: cond, 2: alt, 3: 111})
     execute(Instruction(Opcode.CMOVEQ, rd=3, ra=1, rb=2, pc=0), state)
     expected = to_signed(alt) if cond == 0 else 111
     assert state.regs.read(3) == expected
@@ -64,8 +61,7 @@ def test_cmov_selects_correctly(cond, alt):
 @given(VALUES, VALUES)
 def test_div_matches_trunc_semantics(a, b):
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, a)
-    state.regs.write(2, b)
+    state.regs.load_values({1: a, 2: b})
     execute(Instruction(Opcode.DIV, rd=3, ra=1, rb=2, pc=0), state)
     if b == 0:
         expected = 0
@@ -77,8 +73,7 @@ def test_div_matches_trunc_semantics(a, b):
 @given(st.integers(0x100, 2**20), VALUES)
 def test_store_load_roundtrip_through_executor(addr, value):
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, addr)
-    state.regs.write(2, value)
+    state.regs.load_values({1: addr, 2: value})
     execute(Instruction(Opcode.ST, rd=2, ra=1, imm=0, pc=0), state)
     execute(Instruction(Opcode.LD, rd=3, ra=1, imm=0, pc=4), state)
     assert state.regs.read(3) == to_signed(value)
@@ -88,14 +83,13 @@ def test_store_load_roundtrip_through_executor(addr, value):
 def test_checkpoint_rollback_after_random_ops(ops):
     """Rollback after arbitrary executed sequences restores registers."""
     state = ThreadState(Memory(), 0)
-    state.regs.write(1, 5)
-    state.regs.write(2, 7)
+    state.regs.load_values({1: 5, 2: 7})
     before = state.regs.values()
     checkpoint = state.checkpoint(resume_pc=0)
     pc = 0
     for op, value in ops:
-        state.regs.write(2, value)
-        execute(Instruction(op, rd=1, ra=1, rb=2, pc=pc), state)
-        pc += 4
+        execute(Instruction(Opcode.LI, rd=2, imm=value, pc=pc), state)
+        execute(Instruction(op, rd=1, ra=1, rb=2, pc=pc + 4), state)
+        pc += 8
     state.rollback(checkpoint)
     assert state.regs.values() == before

@@ -2,7 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from repro.arch import MASK64, Memory, RegFile, to_signed
+from repro.arch import MASK64, Memory, RegFile, ThreadState, execute, to_signed
+from repro.isa import Opcode
+from repro.isa.instruction import Instruction
 
 
 def test_memory_unmapped_reads_zero():
@@ -53,17 +55,6 @@ def test_memory_nested_rollback():
     assert mem.load(0x100) == 1
 
 
-def test_memory_commit_truncates_journal():
-    mem = Memory()
-    mem.store(0x100, 1)
-    mem.store(0x108, 2)
-    mem.commit()
-    assert mem.mark() == 0
-    mem.rollback(0)  # nothing left to undo: both writes are final
-    assert mem.load(0x100) == 1
-    assert mem.load(0x108) == 2
-
-
 def test_memory_journaling_disabled():
     mem = Memory(journaling=False)
     mem.store(0x100, 1)
@@ -72,18 +63,25 @@ def test_memory_journaling_disabled():
     assert mem.load(0x100) == 1
 
 
+def li(state, rd, value):
+    """Write *value* to register *rd* the way the executor does: a
+    journaled ``li``."""
+    execute(Instruction(Opcode.LI, rd=rd, imm=value, pc=state.pc), state)
+
+
 def test_regfile_r31_is_zero():
-    regs = RegFile()
-    regs.write(31, 123)
-    assert regs.read(31) == 0
+    state = ThreadState(Memory(), 0)
+    li(state, 31, 123)
+    assert state.regs.read(31) == 0
 
 
 def test_regfile_rollback():
-    regs = RegFile()
-    regs.write(1, 10)
+    state = ThreadState(Memory(), 0)
+    regs = state.regs
+    li(state, 1, 10)
     mark = regs.mark()
-    regs.write(1, 20)
-    regs.write(2, 30)
+    li(state, 1, 20)
+    li(state, 2, 30)
     regs.rollback(mark)
     assert regs.read(1) == 10
     assert regs.read(2) == 0
@@ -105,13 +103,14 @@ def test_to_signed_wraps():
 @given(st.lists(st.tuples(st.integers(0, 63), st.integers(-(2**63), 2**63 - 1)), max_size=30))
 def test_regfile_rollback_is_exact_inverse(writes):
     """Property: rollback to a mark restores the exact pre-mark values."""
-    regs = RegFile()
-    for i, (index, value) in enumerate(writes[: len(writes) // 2]):
-        regs.write(index % 31, value)
+    state = ThreadState(Memory(), 0)
+    regs = state.regs
+    for index, value in writes[: len(writes) // 2]:
+        li(state, index % 31, value)
     before = regs.values()
     mark = regs.mark()
     for index, value in writes[len(writes) // 2 :]:
-        regs.write(index % 31, value)
+        li(state, index % 31, value)
     regs.rollback(mark)
     assert regs.values() == before
 

@@ -145,8 +145,8 @@ def test_clear_sweeps_quarantine_too(cache):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_namespaces_follow_the_cache_root(tmp_path, monkeypatch, jobs):
-    """A run cache handed to run_matrix takes its windows and snapshots
-    with it: runs, windows and snapshots (prebuild, inline and pool
+    """A run cache handed to run_matrix takes its snapshots with it:
+    runs, their windows and snapshots (prebuild, inline and pool
     workers) all land under its root, never under REPRO_CACHE_DIR."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
     cache = RunCache(tmp_path / "a")
@@ -165,26 +165,23 @@ def test_run_namespaces_follow_the_cache_root(tmp_path, monkeypatch, jobs):
         return list(root.rglob(f"*{suffix}")) if root.exists() else []
 
     a = tmp_path / "a"
-    assert len(entries(a, ".pkl")) == 2
+    # 2 parents + 6 windows, at every worker count.
+    assert len(entries(a, ".pkl")) == 8
     assert len(entries(a, ".snap")) == 4  # depths 2k and 4k per chain
-    assert len(entries(a, ".win")) == 6  # at every worker count
     assert not (tmp_path / "b").exists()
 
 
 def test_disabled_run_cache_still_reuses_snapshots(tmp_path):
-    """The siblings share the run cache's root. ``--no-cache`` policy:
-    windows follow its enabled flag; warmed snapshots stay enabled."""
+    """The sibling shares the run cache's root. ``--no-cache`` policy:
+    warmed snapshots stay enabled."""
     cache = RunCache(tmp_path, enabled=False)
-    assert cache.windows.root == tmp_path / "windows"
     assert cache.snapshots.root == tmp_path / "snapshots"
-    assert not cache.windows.enabled
     assert cache.snapshots.enabled
 
 
 def test_key_scheme_is_pinned():
-    """The three key functions share one helper; these literal keys
-    were computed before it existed, so no stored entry moved."""
-    from repro.harness.cache import window_fingerprint
+    """The key functions share one helper; these literal keys were
+    computed before it existed, so no stored entry moved."""
     from repro.harness.fastforward import snapshot_fingerprint
     from repro.uarch.config import FOUR_WIDE
 
@@ -204,9 +201,6 @@ def test_key_scheme_is_pinned():
     )
     assert fingerprint(multi, source_hash=source) == (
         "7523e51fc1ec3d8e4c7fc7f913b8da7611a54414ae16472f20ef828523bfd101"
-    )
-    assert window_fingerprint(multi, 6_000, source_hash=source) == (
-        "10d4b154f7c3b0706e68e727eba98d37bd5bb340d858cc58b06895f5302b9831"
     )
     assert snapshot_fingerprint(
         "mcf", 0.5, 6_000, FOUR_WIDE, source_hash=source

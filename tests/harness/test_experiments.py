@@ -79,7 +79,8 @@ def test_experiment_workload_mix_smoke():
 def test_scale_for_horizon_inverts_run_length():
     for name in experiments.RUN_LENGTH_MODEL:
         scale = experiments.scale_for_horizon(name, 2_000_000)
-        modeled = experiments.run_length(name, scale)
+        anchor, insts, exponent = experiments.RUN_LENGTH_MODEL[name]
+        modeled = insts * (scale / anchor) ** exponent
         assert abs(modeled - 2_000_000) / 2_000_000 < 0.02, name
 
 

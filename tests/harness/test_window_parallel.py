@@ -5,8 +5,9 @@ requests in ``run_matrix``, at any worker count, must be
 *bit-identical* to :func:`execute_request`'s streaming walk over the
 whole request (the oracle) — every stat, every workload, both slice
 arms, halt-drop included — while a re-sweep with an overlapping window
-schedule answers the shared windows from the ``windows`` cache
-namespace instead of re-measuring them. Fault injection rides the same
+schedule answers the shared windows from the run cache, where each
+window is stored under its own request fingerprint, instead of
+re-measuring them. Fault injection rides the same
 attempt loop, so a worker crash mid-window consumes retry budget and
 still converges to the undisturbed aggregate.
 """
@@ -15,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from repro.harness.cache import RunCache, WindowCache, window_fingerprint
+from repro.harness.cache import RunCache, fingerprint
 from repro.harness.fastforward import prebuild_snapshots
 from repro.harness.faults import FaultKind, FaultPlan
 from repro.harness.parallel import (
@@ -31,7 +32,7 @@ from repro.workloads import registry
 
 @pytest.fixture
 def cache_env(tmp_path, monkeypatch):
-    """Point every store (run cache + windows + snapshots) at a temp
+    """Point every store (run cache + snapshots) at a temp
     root so the snapshot chains are shared between the serial and
     parallel arms (the comparison is about execution, not warming)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -149,8 +150,8 @@ def test_failed_window_past_the_halt_is_never_needed(cache_env, monkeypatch):
 def test_resweep_answers_shared_windows_from_cache(cache_env, jobs):
     """Re-running a sweep with 10 regions after an 8-region run
     recomputes only the 2 new windows: the parent fingerprints differ
-    (so the run cache misses) but the 8 shared windows hit the
-    ``windows`` namespace. Both runs reassemble the walk's aggregate,
+    (so the parent misses) but the 8 shared windows are run-cache
+    hits. Both runs reassemble the walk's aggregate,
     at 1 worker (in this process), 2 and 8 (every window in flight at
     once): the worker count changes only speed."""
     eight = sampled(
@@ -184,7 +185,7 @@ def test_window_shared_with_a_plain_request_runs_once(cache_env, monkeypatch):
     """A matrix holding a multi-region request and one of its own
     windows as a plain request measures that window once, in this
     process too: it is one ``RunRequest`` in the attempt loop, and its
-    result lands in both the run cache and the ``windows`` namespace."""
+    result is one run-cache entry, the one both share."""
     from repro.uarch.core import Core
 
     request = sampled(
@@ -209,10 +210,7 @@ def test_window_shared_with_a_plain_request_runs_once(cache_env, monkeypatch):
     parent, plain = report.outcomes
     assert parent.status == plain.status == "ok"
     assert parent.windows == len(windows)
-    stored = cache.get(shared)
-    assert same_stats(stored, plain.stats)
-    key = window_fingerprint(shared, shared.fast_forward)
-    assert same_stats(cache.windows.get(key), stored)
+    assert same_stats(cache.get(shared), plain.stats)
     monkeypatch.setattr(Core, "run", real_run)
     assert same_stats(execute_request(request), parent.stats)
 
@@ -221,12 +219,16 @@ def test_window_fingerprint_ignores_schedule_shape():
     """Window keys must be shared across schedules: the same depth in
     an 8-region and a 10-region request is the same cache entry, while
     depth / measured-window changes produce distinct keys."""
+    def key(request, depth):
+        return fingerprint(window_request(request, depth))
+
     eight = sampled("mcf", "base", sample_regions=8)
     ten = dataclasses.replace(eight, sample_regions=10)
-    assert window_fingerprint(eight, 3_000) == window_fingerprint(ten, 3_000)
-    assert window_fingerprint(eight, 3_000) != window_fingerprint(eight, 4_500)
+    shifted = dataclasses.replace(eight, fast_forward=1_500)
+    assert key(eight, 3_000) == key(ten, 3_000) == key(shifted, 3_000)
+    assert key(eight, 3_000) != key(eight, 4_500)
     longer = dataclasses.replace(eight, sample=400)
-    assert window_fingerprint(eight, 3_000) != window_fingerprint(longer, 3_000)
+    assert key(eight, 3_000) != key(longer, 3_000)
 
 
 def test_window_request_is_single_window_oracle(cache_env):
@@ -331,9 +333,10 @@ def test_cache_clear_covers_windows(cache_env, capsys):
     cache = RunCache(cache_env)
     request = sampled("gzip", "base", scale=0.1, sample_period=2_000)
     run_matrix([request], jobs=2, cache=cache)
-    windows = WindowCache(cache_env)
-    assert len(list(windows.entry_paths())) == 3
+    # The parent and its 3 windows are 4 run-cache entries.
+    assert len(list(cache.entry_paths())) == 4
     assert cli.main(["cache", "clear"]) == 0
     out = capsys.readouterr().out
-    assert "3 window result(s)" in out
-    assert len(list(WindowCache(cache_env).entry_paths())) == 0
+    assert "4 cached run(s)" in out
+    assert "window" not in out
+    assert len(list(RunCache(cache_env).entry_paths())) == 0

